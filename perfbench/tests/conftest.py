@@ -1,0 +1,9 @@
+"""Make ``perfbench`` and the checkout's ``src`` importable for these tests."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT), str(ROOT / "src")):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
