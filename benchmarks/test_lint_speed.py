@@ -1,10 +1,10 @@
 """reprolint speed — the cost of the dataflow engine on the real tree.
 
 Not a paper figure: this benchmark sizes the lint gate itself. The
-dataflow engine (CFG build + two fixpoint solves per function) made a
-cold run meaningfully more expensive than the purely lexical first
-generation, and the content-hash cache exists to buy that back for the
-pre-commit / warm-CI case. The interprocedural layer (call graph +
+dataflow engine behind ``resource-leak`` (a CFG build and a fixpoint
+solve per function) makes a cold run more expensive than the purely
+lexical rules, and the content-hash cache exists to buy that back for
+the pre-commit / warm-CI case. The interprocedural layer (call graph +
 bottom-up summaries) adds a whole-tree analysis pass on top; its facts
 store must keep the warm path cheap. We time the full rule set — serial
 cold, parallel cold, parallel warm (``--cache``, second run) — plus a

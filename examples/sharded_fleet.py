@@ -116,9 +116,7 @@ def act_two_crash(trace):
     accepted = {s.session_id: 0 for s in sessions}
     for k in range(trace.n_frames):
         if k == trace.n_frames // 2:
-            # Reach into the pool only to stage the failure; everything
-            # observed below goes through the public surface.
-            os.kill(fleet._pool[0].process.pid, signal.SIGKILL)
+            os.kill(fleet.shard_pid(min(victim)), signal.SIGKILL)
         for session in sessions:
             if fleet.submit(
                 session.session_id,
@@ -138,7 +136,7 @@ def act_two_crash(trace):
             if isinstance(e, FrameDropEvent) and e.where == "crash"
         )
         assert session.frames_processed + lost == accepted[session.session_id]
-        tag = f"lost {lost} in-flight at the kill" if lost else "lossless"
+        tag = f"lost {lost} unreported at the kill" if lost else "lossless"
         print(f"  {session.session_id}: processed {session.frames_processed}"
               f"/{accepted[session.session_id]} ({tag})")
     for session in sessions:

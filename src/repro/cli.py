@@ -15,7 +15,10 @@ Five commands cover the everyday workflows:
   over TCP into the fleet, load-test it with replayed traces, scrape
   its Prometheus metrics.
 - ``lint``      — run reprolint, the repo's AST-based invariant checker
-  (determinism, units discipline, lock discipline, API hygiene).
+  (determinism, lock discipline, event-loop blocking, resource leaks,
+  ``or`` defaults). Its arguments go to ``repro.lint.cli`` untouched,
+  and the linter is imported only when this command runs, so serving
+  processes never load it.
 
 Examples::
 
@@ -51,7 +54,6 @@ from repro.eval.sweeps import (
     road_group_sweep,
 )
 from repro.gateway.cli import add_gateway_arguments, run_gateway
-from repro.lint.cli import add_lint_arguments, run_lint_safely
 from repro.store.cli import add_store_arguments, run_store
 from repro.physio import ParticipantProfile
 from repro.rf.geometry import SensorPose
@@ -120,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     gtw = sub.add_parser("gateway", help="streaming network ingest service + load harness")
     add_gateway_arguments(gtw)
 
-    lnt = sub.add_parser("lint", help="run reprolint, the AST invariant checker")
-    add_lint_arguments(lnt)
+    # Options belong to reprolint's own parser (``repro lint --help``);
+    # main() hands it the raw arguments before this parser sees them.
+    sub.add_parser("lint", add_help=False, help="run reprolint, the AST invariant checker")
     return parser
 
 
@@ -281,6 +284,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
@@ -290,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         "fleet": _cmd_fleet,
         "store": run_store,
         "gateway": run_gateway,
-        "lint": run_lint_safely,
     }
     return handlers[args.command](args)
 

@@ -119,7 +119,7 @@ class FilterScratch:
     def __init__(self) -> None:
         self._padded: dict[tuple[int, str], np.ndarray] = {}
 
-    def padded(self, n_rows: int, width: int, dtype: np.dtype) -> np.ndarray:  # reprolint: shape(return=(n_rows,width))
+    def padded(self, n_rows: int, width: int, dtype: np.dtype) -> np.ndarray:
         """A ``(n_rows, width)`` scratch block of ``dtype`` (contents stale)."""
         key = (width, np.dtype(dtype).str)
         buf = self._padded.get(key)
@@ -137,7 +137,7 @@ class FilterScratch:
 _CHUNK_ELEMS = 1 << 17
 
 
-def fir_filter_rows(  # reprolint: hotpath
+def fir_filter_rows(
     rows: np.ndarray,
     taps: np.ndarray,
     scratch: FilterScratch,
@@ -172,7 +172,7 @@ def fir_filter_rows(  # reprolint: hotpath
     out_dtype = np.result_type(rows.dtype, taps.dtype)
     if out is None:
         # Result buffer, only when the caller brings none of their own.
-        out = np.empty((n, length), dtype=out_dtype)  # reprolint: disable=hotpath-alloc
+        out = np.empty((n, length), dtype=out_dtype)
     chunk = max(1, _CHUNK_ELEMS // width)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
@@ -309,7 +309,7 @@ class CascadingFilter:
         y = fir_filter(x, self.taps, axis=axis)
         return moving_average(y, self.smooth_window, axis=axis)
 
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:  # reprolint: hotpath
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Cascade every row of a 2-D block.
 
         Two fused convolutions per cache-sized chunk of rows — the
@@ -327,7 +327,7 @@ class CascadingFilter:
         n, length = rows.shape
         out_dtype = np.result_type(rows.dtype, self.taps.dtype)
         # Result buffer; both cascade stages write into scratch or here.
-        out = np.empty((n, length), dtype=out_dtype)  # reprolint: disable=hotpath-alloc
+        out = np.empty((n, length), dtype=out_dtype)
         chunk = max(1, _CHUNK_ELEMS // max(length, 1))
         scratch = self._scratch
         for start in range(0, n, chunk):
@@ -375,7 +375,7 @@ class LoopbackFilter:
         """Forget the clutter estimate (e.g. after a large body movement)."""
         self._background = None
 
-    def push(self, frame: np.ndarray) -> np.ndarray:  # reprolint: shape(frame=(R,)) shape(return=(R,))
+    def push(self, frame: np.ndarray) -> np.ndarray:
         """Feed one frame; return the background-subtracted frame."""
         frame = np.asarray(frame)
         if self._background is None:

@@ -5,16 +5,22 @@ the codebase's correctness rests on:
 
 - **determinism** (``wall-clock``, ``global-rng``) — the pure
   simulation packages must be bit-reproducible from a seed;
-- **units discipline** (``unit-suffix``, ``unit-mismatch``) — physical
-  quantities carry their unit in the name, and units never cross
-  families silently;
+- **units** (``unit-suffix``, ``unit-mismatch``) — physical quantities
+  carry their unit in the name, and values of one unit family are never
+  bound to names of another;
 - **lock discipline** (``guarded-by``) — state written under a lock is
   always accessed under it;
 - **API hygiene** (``mutable-default``, ``except-hygiene``,
-  ``no-assert``, ``or-default``).
+  ``or-default``) — no state shared through default arguments, no
+  catch-all that swallows the errors recovery paths wait for, and no
+  ``x or default`` on an ``Optional`` parameter;
+- **resource lifecycle** (``resource-leak``) — service-layer resources
+  are released on every path;
+- **event-loop blocking** (``blocking-in-async``) — no coroutine
+  reaches a blocking primitive, however many sync helpers away.
 
 Run it with ``python -m repro lint [paths]``; see
-``docs/static_analysis.md`` for the full catalogue, suppression pragmas
+``docs/static_analysis.md`` for the rule ledger, suppression pragmas
 and the baseline workflow.
 """
 

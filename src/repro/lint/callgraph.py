@@ -9,7 +9,7 @@ that in two strictly separated stages so the answer stays cacheable:
    import map, a class registry (bases, methods, attribute types read
    off ``__init__`` assignments and dataclass annotations), and per
    function a list of symbolic :class:`CallFact` records ("calls
-   ``self.recorder.append`` at line 210, not awaited"). Facts depend
+   ``self.recorder.append`` at line 210"). Facts depend
    only on the file's bytes, so the summary store memoises them by
    content hash and warm runs never re-parse.
 
@@ -43,19 +43,16 @@ fixpoint without caring about them.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
-from repro.lint.arrayflow import ArrayType, ShapeEnv, parse_docstring_contracts
 from repro.lint.cfg import FunctionLike, iter_functions
-from repro.lint.suppress import LinePragmas, ShapeContract, scan_pragmas
 
 __all__ = [
     "CALLGRAPH_VERSION",
     "CallFact",
     "ClassFacts",
     "FunctionFacts",
-    "LockHold",
     "ModuleFacts",
     "Project",
     "Resolution",
@@ -65,9 +62,8 @@ __all__ = [
 
 #: Bump when the facts schema or extraction behaviour changes; persisted
 #: facts from an older version are discarded, never misread.
-#: 2: per-function array facts (shape/dtype contracts, alias-safe and
-#: hotpath markers, inferred return array type).
-CALLGRAPH_VERSION = "2"
+#: 3: array facts, lock holds and await/discard flags removed.
+CALLGRAPH_VERSION = "3"
 
 #: The package the graph is scoped to.
 _PACKAGE = "repro"
@@ -89,10 +85,6 @@ class CallFact:
     parts: tuple[str, ...]
     line: int
     col: int
-    #: The call is directly under an ``await``.
-    awaited: bool
-    #: The call is a whole expression statement (its value is dropped).
-    discarded: bool
     #: The call carries ``*args``/``**kwargs`` (argument mapping unsafe).
     has_star_args: bool
     #: Positional argument count and keyword names (for param mapping).
@@ -104,8 +96,6 @@ class CallFact:
             "parts": list(self.parts),
             "line": self.line,
             "col": self.col,
-            "awaited": self.awaited,
-            "discarded": self.discarded,
             "star": self.has_star_args,
             "n_args": self.n_args,
             "kwargs": list(self.kwarg_names),
@@ -117,28 +107,10 @@ class CallFact:
             parts=tuple(data["parts"]),
             line=int(data["line"]),
             col=int(data["col"]),
-            awaited=bool(data["awaited"]),
-            discarded=bool(data["discarded"]),
             has_star_args=bool(data["star"]),
             n_args=int(data["n_args"]),
             kwarg_names=tuple(data["kwargs"]),
         )
-
-
-@dataclass(frozen=True)
-class LockHold:
-    """A sync ``with <lock>`` in an async function whose body awaits."""
-
-    parts: tuple[str, ...]
-    line: int
-    col: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {"parts": list(self.parts), "line": self.line, "col": self.col}
-
-    @staticmethod
-    def from_json(data: dict[str, Any]) -> "LockHold":
-        return LockHold(tuple(data["parts"]), int(data["line"]), int(data["col"]))
 
 
 @dataclass(frozen=True)
@@ -168,27 +140,6 @@ class FunctionFacts:
     #: Indices into ``calls`` whose result is returned directly
     #: (``return helper()`` / ``return Recorder(...)``).
     returned_calls: tuple[int, ...]
-    #: Sync ``with``-held locks whose body contains an ``await``.
-    lock_holds: tuple[LockHold, ...]
-    has_await: bool
-    #: Declared array contracts (shape pragma + docstring ``Shape:``
-    #: block): parameter name or ``"return"`` → (dims, dtype). Dims are
-    #: symbolic spellings scoped to this function.
-    array_contracts: dict[str, tuple[tuple[str, ...], str]] = field(
-        default_factory=dict
-    )
-    #: Contract declarations that could not be resolved (a name that is
-    #: not a parameter, a pragma/docstring conflict, a malformed
-    #: ``Shape:`` entry). The whole-src self-check asserts none exist.
-    array_unresolved: tuple[str, ...] = ()
-    #: Locally inferred array type of the returned expression, when the
-    #: shape domain models it and no ``return`` contract is declared.
-    returned_array: "ArrayType | None" = None
-    #: The ``alias-safe`` pragma on the def line: the kernel tolerates
-    #: an ``out=`` buffer aliasing an input.
-    alias_safe: bool = False
-    #: The ``hotpath`` pragma on the def line.
-    hotpath: bool = False
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -204,37 +155,10 @@ class FunctionFacts:
             "passes": [list(p) for p in self.param_passes],
             "returned": list(self.returned_names),
             "returned_calls": list(self.returned_calls),
-            "lock_holds": [h.to_json() for h in self.lock_holds],
-            "has_await": self.has_await,
-            "array_contracts": {
-                name: [list(dims), dtype]
-                for name, (dims, dtype) in self.array_contracts.items()
-            },
-            "array_unresolved": list(self.array_unresolved),
-            "returned_array": (
-                None
-                if self.returned_array is None
-                else [
-                    None
-                    if self.returned_array[0] is None
-                    else list(self.returned_array[0]),
-                    self.returned_array[1],
-                ]
-            ),
-            "alias_safe": self.alias_safe,
-            "hotpath": self.hotpath,
         }
 
     @staticmethod
     def from_json(data: dict[str, Any]) -> "FunctionFacts":
-        raw_returned = data.get("returned_array")
-        returned_array: "ArrayType | None" = None
-        if raw_returned is not None:
-            dims_raw, dtype_raw = raw_returned
-            returned_array = (
-                None if dims_raw is None else tuple(str(d) for d in dims_raw),
-                str(dtype_raw),
-            )
         return FunctionFacts(
             qualname=str(data["qualname"]),
             line=int(data["line"]),
@@ -251,16 +175,6 @@ class FunctionFacts:
             ),
             returned_names=tuple(data["returned"]),
             returned_calls=tuple(int(i) for i in data["returned_calls"]),
-            lock_holds=tuple(LockHold.from_json(h) for h in data["lock_holds"]),
-            has_await=bool(data["has_await"]),
-            array_contracts={
-                str(name): (tuple(str(d) for d in entry[0]), str(entry[1]))
-                for name, entry in data.get("array_contracts", {}).items()
-            },
-            array_unresolved=tuple(data.get("array_unresolved", ())),
-            returned_array=returned_array,
-            alias_safe=bool(data.get("alias_safe", False)),
-            hotpath=bool(data.get("hotpath", False)),
         )
 
 
@@ -425,7 +339,7 @@ def _chain_of(node: ast.expr) -> tuple[str, ...] | None:
     return None
 
 
-def call_fact_of(node: ast.Call, *, awaited: bool = False, discarded: bool = False) -> CallFact | None:
+def call_fact_of(node: ast.Call) -> CallFact | None:
     """The symbolic :class:`CallFact` for one AST call, or None (dynamic)."""
     chain = _chain_of(node.func)
     if chain is None or len(chain) > _MAX_CHAIN:
@@ -437,8 +351,6 @@ def call_fact_of(node: ast.Call, *, awaited: bool = False, discarded: bool = Fal
         parts=chain,
         line=node.lineno,
         col=node.col_offset,
-        awaited=awaited,
-        discarded=discarded,
         has_star_args=has_star,
         n_args=len(node.args),
         kwarg_names=tuple(kw.arg for kw in node.keywords if kw.arg is not None),
@@ -600,78 +512,16 @@ def _local_types(
 _RELEASE_NAMES = frozenset({"close", "join", "shutdown", "stop", "cancel"})
 
 
-def _array_facts(
-    fn: FunctionLike, params: list[str], pragma: "LinePragmas | None"
-) -> tuple[dict[str, tuple[tuple[str, ...], str]], list[str], "ArrayType | None"]:
-    """Declared contracts, contract errors, and the inferred return type.
-
-    Contracts come from ``shape(...)`` pragmas on the ``def`` line and
-    from the docstring ``Shape:`` block; a pragma wins a disagreement
-    only by being reported as a conflict — silently preferring either
-    source would let the two drift apart.
-    """
-    declared: dict[str, ShapeContract] = {}
-    errors: list[str] = []
-    doc_contracts, doc_errors = parse_docstring_contracts(ast.get_docstring(fn))
-    errors.extend(doc_errors)
-    pragma_contracts = pragma.shapes if pragma is not None else ()
-    for contract in (*pragma_contracts, *doc_contracts.values()):
-        previous = declared.get(contract.name)
-        if previous is not None:
-            if (previous.dims, previous.dtype) != (contract.dims, contract.dtype):
-                errors.append(
-                    f"conflicting contracts for {contract.name!r}: "
-                    f"{previous.dims}/{previous.dtype or '?'} vs "
-                    f"{contract.dims}/{contract.dtype or '?'}"
-                )
-            continue
-        declared[contract.name] = contract
-    known = set(params) | {"return"}
-    for name in declared:
-        if name not in known:
-            errors.append(f"contract names unknown parameter {name!r}")
-    contracts = {
-        name: (contract.dims, contract.dtype)
-        for name, contract in declared.items()
-        if name in known
-    }
-
-    returned_array: "ArrayType | None" = None
-    if "return" not in contracts and isinstance(
-        fn, (ast.FunctionDef, ast.AsyncFunctionDef)
-    ):
-        env = ShapeEnv(declared)
-        env.bind_body(fn)
-        for node in _iter_own(fn):
-            if isinstance(node, ast.Return) and node.value is not None:
-                inferred = env.type_of(node.value)
-                if inferred is not None:
-                    returned_array = inferred
-                    break
-    return contracts, errors, returned_array
-
-
 def _function_facts(
     qualname: str,
     fn: FunctionLike,
     class_name: str,
     attr_types: dict[str, str],
-    pragma: "LinePragmas | None" = None,
 ) -> FunctionFacts:
-    is_async = isinstance(fn, ast.AsyncFunctionDef)
     params = _param_names(fn)
     local_types = _local_types(fn, attr_types)
-    array_contracts, array_errors, returned_array = _array_facts(fn, params, pragma)
 
     own_nodes = list(_iter_own(fn))
-    awaited_ids = {
-        id(node.value) for node in own_nodes if isinstance(node, ast.Await)
-    }
-    discarded_ids = {
-        id(node.value)
-        for node in own_nodes
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
-    }
     call_nodes = sorted(
         (node for node in own_nodes if isinstance(node, ast.Call)),
         key=lambda node: (node.lineno, node.col_offset),
@@ -679,11 +529,7 @@ def _function_facts(
     calls: list[CallFact] = []
     call_index: dict[int, int] = {}
     for node in call_nodes:
-        fact = call_fact_of(
-            node,
-            awaited=id(node) in awaited_ids,
-            discarded=id(node) in discarded_ids,
-        )
+        fact = call_fact_of(node)
         if fact is not None:
             call_index[id(node)] = len(calls)
             calls.append(fact)
@@ -754,33 +600,10 @@ def _function_facts(
             if index is not None:
                 returned_calls.append(index)
 
-    lock_holds: list[LockHold] = []
-    if is_async:
-        for node in own_nodes:
-            if not isinstance(node, ast.With):
-                continue
-            body_awaits = any(
-                isinstance(inner, ast.Await)
-                for stmt in node.body
-                for inner in _iter_own(stmt)
-            ) or any(isinstance(stmt, ast.Await) for stmt in node.body)
-            if not body_awaits:
-                continue
-            for item in node.items:
-                chain = _chain_of(item.context_expr)
-                if chain is not None and len(chain) <= _MAX_CHAIN:
-                    lock_holds.append(
-                        LockHold(
-                            parts=chain,
-                            line=item.context_expr.lineno,
-                            col=item.context_expr.col_offset,
-                        )
-                    )
-
     return FunctionFacts(
         qualname=qualname,
         line=fn.lineno,
-        is_async=is_async,
+        is_async=isinstance(fn, ast.AsyncFunctionDef),
         class_name=class_name,
         params=tuple(params),
         calls=tuple(calls),
@@ -790,13 +613,6 @@ def _function_facts(
         param_passes=tuple(passes),
         returned_names=tuple(returned),
         returned_calls=tuple(returned_calls),
-        lock_holds=tuple(lock_holds),
-        has_await=bool(awaited_ids),
-        array_contracts=array_contracts,
-        array_unresolved=tuple(array_errors),
-        returned_array=returned_array,
-        alias_safe=pragma.alias_safe if pragma is not None else False,
-        hotpath=pragma.hotpath if pragma is not None else False,
     )
 
 
@@ -831,18 +647,9 @@ def _import_map(tree: ast.Module, module_parts: tuple[str, ...]) -> dict[str, st
 
 
 def extract_module_facts(
-    module_parts: tuple[str, ...], tree: ast.Module, source: str | None = None
+    module_parts: tuple[str, ...], tree: ast.Module
 ) -> ModuleFacts:
-    """Stage 1: purely syntactic facts for one parsed module.
-
-    ``source`` (when available) is scanned for def-line pragmas so that
-    shape contracts, ``alias-safe`` and ``hotpath`` markers become part
-    of the cached facts; malformed pragma bodies are reported separately
-    by the engine's own pragma scan (``bad-pragma``).
-    """
-    pragmas: dict[int, LinePragmas] = {}
-    if source is not None:
-        pragmas, _ = scan_pragmas(source)
+    """Stage 1: purely syntactic facts for one parsed module."""
     classes: dict[str, ClassFacts] = {}
 
     # Collect classes (including nested ones) with dotted qualnames.
@@ -862,9 +669,7 @@ def extract_module_facts(
         head = qualname.rsplit(".", 1)[0] if "." in qualname else ""
         class_name = head if head in classes else ""
         attr_types = classes[class_name].attr_types if class_name else {}
-        functions[qualname] = _function_facts(
-            qualname, fn, class_name, attr_types, pragmas.get(fn.lineno)
-        )
+        functions[qualname] = _function_facts(qualname, fn, class_name, attr_types)
 
     return ModuleFacts(
         module_parts=module_parts,
@@ -919,10 +724,6 @@ class Project:
     def functions(self) -> Iterator[tuple[str, ModuleFacts, FunctionFacts]]:
         for full, (mod, fn) in self._function_index.items():
             yield full, mod, fn
-
-    def class_facts(self, full_qualname: str) -> ClassFacts | None:
-        entry = self._class_index.get(full_qualname)
-        return entry[1] if entry is not None else None
 
     # ----------------------------------------------------------- type lookup
     def resolve_type(self, mod: ModuleFacts, spelling: str) -> str:

@@ -1,4 +1,4 @@
-"""Intra-procedural control-flow graphs for the dataflow rules.
+"""Intra-procedural control-flow graphs for ``resource-leak``.
 
 :func:`build_cfg` turns one function body into basic blocks connected by
 ``flow`` and ``except`` edges, covering every statement form in the
@@ -154,13 +154,6 @@ class Block:
         self.succ: list[Edge] = []
         self.pred: list[Edge] = []
 
-    def first_positioned(self) -> Element | None:
-        """The first element with a source position (for diagnostics)."""
-        for element in self.elements:
-            if getattr(element, "lineno", None) is not None:
-                return element
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Block({self.index}, {self.label!r}, {len(self.elements)} elements)"
 
@@ -174,29 +167,12 @@ class CFG:
     blocks: list[Block]
     entry: int
     exit: int
-    #: Names declared ``global``/``nonlocal`` anywhere in the function.
-    global_names: frozenset[str]
-    #: Names referenced inside nested functions/lambdas (closure captures;
-    #: liveness-based rules must treat these as always potentially live).
-    closure_names: frozenset[str]
     #: True when the function calls locals()/vars()/eval()/exec()/globals();
     #: name-level analyses are unsound then and rules should stand down.
     uses_dynamic_locals: bool
     #: Statement nodes the builder did not recognise (must stay empty; the
     #: self-check test asserts no statement form falls back here).
     unsupported: list[ast.stmt] = field(default_factory=list)
-
-    def reachable(self) -> frozenset[int]:
-        """Block indices reachable from the entry along any edge kind."""
-        seen = {self.entry}
-        frontier = [self.entry]
-        while frontier:
-            block = frontier.pop()
-            for edge in self.blocks[block].succ:
-                if edge.dst not in seen:
-                    seen.add(edge.dst)
-                    frontier.append(edge.dst)
-        return frozenset(seen)
 
 
 # ------------------------------------------------------------------- builder
@@ -238,7 +214,6 @@ class _Builder:
         self.cur = self.entry
         self.stack: list[_LoopCtx | _TryCtx] = []
         self.unsupported: list[ast.stmt] = []
-        self.global_names: set[str] = set()
 
     # ---------------------------------------------------------- graph helpers
     def _new(self, label: str) -> int:
@@ -259,16 +234,13 @@ class _Builder:
         self._emit(ArgsBind(self.fn))
         self._stmts(self.fn.body)
         self._edge(self.cur, self.exit)
-        closure, dynamic = _scan_scopes(self.fn)
         return CFG(
             fn=self.fn,
             qualname=self.qualname,
             blocks=self.blocks,
             entry=self.entry,
             exit=self.exit,
-            global_names=frozenset(self.global_names),
-            closure_names=closure,
-            uses_dynamic_locals=dynamic,
+            uses_dynamic_locals=_uses_dynamic_locals(self.fn),
             unsupported=self.unsupported,
         )
 
@@ -293,11 +265,10 @@ class _Builder:
                 ast.FunctionDef,
                 ast.AsyncFunctionDef,
                 ast.ClassDef,
+                ast.Global,
+                ast.Nonlocal,
             ),
         ):
-            self._emit(node)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            self.global_names.update(node.names)
             self._emit(node)
         elif isinstance(node, ast.Return):
             self._emit(node)
@@ -563,24 +534,14 @@ class _Builder:
         self.cur = self._new("dead")
 
 
-def _scan_scopes(fn: FunctionLike) -> tuple[frozenset[str], bool]:
-    """(names referenced in nested scopes, uses-dynamic-locals flag)."""
-    closure: set[str] = set()
-    dynamic = False
-    for node in ast.walk(fn):
-        if node is fn:
-            continue
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Name):
-                    closure.add(inner.id)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _DYNAMIC_LOCALS
-        ):
-            dynamic = True
-    return frozenset(closure), dynamic
+def _uses_dynamic_locals(fn: FunctionLike) -> bool:
+    """True when the function calls locals()/vars()/eval()/exec()/globals()."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _DYNAMIC_LOCALS
+        for node in ast.walk(fn)
+    )
 
 
 def build_cfg(fn: FunctionLike, qualname: str | None = None) -> CFG:

@@ -1,8 +1,9 @@
 """``python -m repro lint`` — the reprolint command.
 
-Kept separate from :mod:`repro.cli` so the linter stays importable
-without numpy/scipy: CI can gate on lint even in an environment where
-the scientific stack is absent.
+Kept separate from :mod:`repro.cli`, which forwards the ``lint``
+arguments here and imports this module only when that command runs:
+the linter stays importable without numpy/scipy, and a serving process
+(``python -m repro gateway serve``) never loads it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the lint options on ``parser`` (shared with repro.cli)."""
+    """Install the lint options on ``parser``."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -213,12 +214,6 @@ def run_stats(paths: list[Path]) -> int:
                 pragmas["unguarded-ok"] += 1
             if line.moves:
                 pragmas["moves"] += 1
-            if line.hotpath:
-                pragmas["hotpath"] += 1
-            if line.shapes:
-                pragmas["shape"] += len(line.shapes)
-            if line.alias_safe:
-                pragmas["alias-safe"] += 1
         if errors:
             pragmas["malformed"] += len(errors)
 
@@ -239,78 +234,7 @@ def run_stats(paths: list[Path]) -> int:
         print("reprolint: unresolved call sites:")
         for caller, fact in unresolved:
             print(f"  {caller}:{fact.line} -> {'.'.join(fact.parts)}")
-
-    print()
-    _print_array_census(analysis, files)
     return 0
-
-
-#: The array-contract rule family, in catalogue order (census rows).
-_ARRAY_RULES = (
-    "shape-mismatch",
-    "dtype-drop",
-    "hotpath-copy",
-    "out-aliasing",
-    "view-escape",
-)
-
-
-def _print_array_census(analysis, files: list[Path]) -> None:
-    """Array-contract census: who declares, who inherits, who is covered.
-
-    The ``hotpath contract coverage`` line is a CI gate: every function
-    marked ``hotpath`` must declare its array contract (the hot-path
-    rules are only as good as the contracts they check against), so CI
-    greps this output for ``100%``. Per-rule finding counts come from a
-    fresh baseline-free run of the array rules only.
-    """
-    summaries = analysis.summaries.values()
-    declared = [s for s in summaries if s.declares_contracts]
-    inherited = [
-        s for s in summaries if s.array_params and not s.declares_contracts
-    ]
-    inferred_returns = [
-        s
-        for s in summaries
-        if s.returns_array is not None and not s.declares_contracts
-    ]
-    unresolved_contracts = [
-        (f"{mod.dotted}.{fn.qualname}", detail)
-        for _, mod, fn in analysis.project.functions()
-        for detail in fn.array_unresolved
-    ]
-    hot = [s for s in summaries if s.hotpath]
-    hot_covered = [s for s in hot if s.array_params or s.returns_array]
-    total = len(declared) + len(inherited) + len(inferred_returns)
-    declared_pct = 100 * len(declared) // total if total else 0
-    hot_pct = 100 * len(hot_covered) // len(hot) if hot else 100
-
-    _print_table(
-        "reprolint: array-contract census",
-        {
-            "declared contracts": len(declared),
-            "inherited contracts": len(inherited),
-            "inferred return types": len(inferred_returns),
-            "unresolved contracts": len(unresolved_contracts),
-        },
-    )
-    print(f"  declared share            {declared_pct}%")
-    print(
-        f"  hotpath contract coverage {hot_pct}% "
-        f"({len(hot_covered)}/{len(hot)} hotpath-marked functions)"
-    )
-    for qualname, detail in unresolved_contracts:
-        print(f"    unresolved: {qualname}: {detail}")
-
-    registry = rules_by_name()
-    rules = tuple(registry[name] for name in _ARRAY_RULES if name in registry)
-    result = lint_paths(files, rules=rules, baseline=Baseline())
-    counts = Counter(diag.rule for diag in result.diagnostics)
-    print()
-    _print_table(
-        "reprolint: array-contract findings",
-        {name: counts.get(name, 0) for name in _ARRAY_RULES},
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -387,9 +311,9 @@ def run_lint_safely(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (``python -m repro.lint.cli``)."""
+    """Entry point of ``python -m repro lint`` and ``python -m repro.lint.cli``."""
     parser = argparse.ArgumentParser(
-        prog="reprolint",
+        prog="repro lint",
         description="AST-based invariant checker for the BlinkRadar reproduction.",
     )
     add_lint_arguments(parser)

@@ -9,8 +9,8 @@ rules only police the pure simulation packages).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.lint.suppress import LinePragmas
 
@@ -50,10 +50,6 @@ class FileContext:
     tree: ast.Module
     pragmas: dict[int, LinePragmas]
     module_parts: tuple[str, ...] | None
-    #: Scratch space shared by the rules run over this file — the dataflow
-    #: layer memoises CFGs and solver solutions here so each function is
-    #: analysed once per file, not once per rule.
-    analysis_cache: dict[str, Any] = field(default_factory=dict)
     #: Whole-tree interprocedural view (call graph + function summaries);
     #: None when no active rule asked for it. Rules must degrade to their
     #: intra-procedural behaviour when absent.

@@ -1,29 +1,19 @@
-"""Generic worklist dataflow solver and reprolint's analysis instances.
+"""Forward worklist dataflow solver over reprolint's CFGs.
 
-The solver is direction-agnostic: an :class:`Analysis` supplies the
-lattice (``initial``/``boundary``/``join``) and a per-element transfer
-function; :func:`solve` iterates block states to a fixpoint over a
+An :class:`Analysis` supplies the lattice (``initial``/``boundary``/
+``join``) and a per-element transfer function; :func:`solve` iterates
+block states from entry to exit to a fixpoint over a
 :class:`~repro.lint.cfg.CFG`. States are ordinary immutable-ish Python
 values compared with ``==``; lattices are finite (sets of names or
-definition sites), so termination is guaranteed — the iteration cap is a
-tripwire for solver bugs, surfaced through ``Solution.converged`` and
-asserted over the whole tree by the CFG self-check test.
-
-Instances:
-
-- :class:`ReachingDefinitions` — name → set of definition sites (element
-  ids), strong updates on rebinding.
-- :class:`Liveness` — backward may-use; closure-captured and
-  global/nonlocal names are live at exit so dead-store rules never
-  convict a value a nested function still reads.
-- :class:`MovedNames` — forward tracking of ``# reprolint: moves(name)``
-  ownership-transfer pragmas, cleared on rebinding.
+sites), so termination is guaranteed — the iteration cap is a tripwire
+for solver bugs, surfaced through ``Solution.converged`` and asserted
+over the whole tree by the CFG self-check test. ``resource-leak`` is
+the one analysis built on it.
 
 Definition/use extraction (:func:`element_defs_uses`) handles every
 element form the CFG emits, including walrus targets inside header
 expressions. Loads inside nested scopes (lambdas, comprehensions, inner
-functions) count as uses at the containing element — an over-approximation
-that keeps liveness sound for closures.
+functions) count as uses at the containing element.
 """
 
 from __future__ import annotations
@@ -31,7 +21,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import Generic, TypeVar, cast
+from typing import Generic, TypeVar
 
 from repro.lint.cfg import (
     CFG,
@@ -42,23 +32,9 @@ from repro.lint.cfg import (
     LoopTargetBind,
     MatchBind,
     WithBind,
-    build_cfg,
-    iter_functions,
 )
-from repro.lint.context import FileContext
 
-__all__ = [
-    "Analysis",
-    "Liveness",
-    "MovedNames",
-    "ReachingDefinitions",
-    "Solution",
-    "element_defs_uses",
-    "file_cfgs",
-    "liveness_of",
-    "reaching_of",
-    "solve",
-]
+__all__ = ["Analysis", "Solution", "element_defs_uses", "solve"]
 
 S = TypeVar("S")
 
@@ -196,13 +172,10 @@ def element_defs_uses(element: Element) -> tuple[frozenset[str], frozenset[str]]
 
 # ------------------------------------------------------------------- solver
 class Analysis(Generic[S]):
-    """A dataflow problem: lattice operations plus the transfer function."""
-
-    #: Forward analyses propagate entry→exit; backward ones exit→entry.
-    forward: bool = True
+    """A forward dataflow problem: lattice operations plus the transfer."""
 
     def boundary(self, cfg: CFG) -> S:
-        """State at the start block (entry for forward, exit for backward)."""
+        """State at the entry block."""
         raise NotImplementedError
 
     def initial(self, cfg: CFG) -> S:
@@ -214,7 +187,7 @@ class Analysis(Generic[S]):
         raise NotImplementedError
 
     def transfer(self, element: Element, state: S) -> S:
-        """State after ``element`` (direction-relative)."""
+        """State after ``element``."""
         raise NotImplementedError
 
 
@@ -224,9 +197,9 @@ class Solution(Generic[S]):
 
     cfg: CFG
     analysis: Analysis[S]
-    #: Direction-relative input state per block (after joining neighbours).
+    #: Input state per block (after joining predecessors).
     inputs: list[S]
-    #: Direction-relative output state per block (after all transfers).
+    #: Output state per block (after all transfers).
     outputs: list[S]
     #: Block transfers performed before the fixpoint (or the cap) was hit.
     steps: int
@@ -234,33 +207,9 @@ class Solution(Generic[S]):
     #: property of well-formed input (lattices here are finite).
     converged: bool
 
-    def element_states(self, block_index: int) -> list[S]:
-        """The state each element of the block observes, in source order.
 
-        For a forward analysis this is the state flowing *into* each
-        element; for a backward one, the state flowing back into it from
-        what executes after it (e.g. liveness *after* a store).
-        """
-        block = self.cfg.blocks[block_index]
-        state = self.inputs[block_index]
-        elements = block.elements if self.analysis.forward else list(reversed(block.elements))
-        states: list[S] = []
-        for element in elements:
-            states.append(state)
-            state = self.analysis.transfer(element, state)
-        if not self.analysis.forward:
-            states.reverse()
-        return states
-
-
-def _rpo(cfg: CFG, forward: bool) -> list[int]:
-    """Reverse postorder from the direction's start block; stragglers last."""
-    start = cfg.entry if forward else cfg.exit
-    succ_of = (
-        (lambda b: [e.dst for e in cfg.blocks[b].succ])
-        if forward
-        else (lambda b: [e.src for e in cfg.blocks[b].pred])
-    )
+def _rpo(cfg: CFG) -> list[int]:
+    """Reverse postorder from the entry block; unreachable blocks last."""
     seen: set[int] = set()
     post: list[int] = []
 
@@ -269,7 +218,7 @@ def _rpo(cfg: CFG, forward: bool) -> list[int]:
         seen.add(root)
         while stack:
             block, cursor = stack[-1]
-            succs = succ_of(block)
+            succs = [e.dst for e in cfg.blocks[block].succ]
             if cursor < len(succs):
                 stack[-1] = (block, cursor + 1)
                 nxt = succs[cursor]
@@ -280,7 +229,7 @@ def _rpo(cfg: CFG, forward: bool) -> list[int]:
                 post.append(block)
                 stack.pop()
 
-    visit(start)
+    visit(cfg.entry)
     order = list(reversed(post))
     order.extend(b.index for b in cfg.blocks if b.index not in seen)
     return order
@@ -290,21 +239,9 @@ def solve(cfg: CFG, analysis: Analysis[S], max_steps: int | None = None) -> Solu
     """Iterate ``analysis`` over ``cfg`` to a fixpoint."""
     n_blocks = len(cfg.blocks)
     cap = max_steps if max_steps is not None else 64 * n_blocks + 256
-    forward = analysis.forward
-    start = cfg.entry if forward else cfg.exit
-
-    def preds(block: int) -> list[int]:
-        edges = cfg.blocks[block].pred if forward else cfg.blocks[block].succ
-        return [e.src if forward else e.dst for e in edges]
-
-    def succs(block: int) -> list[int]:
-        edges = cfg.blocks[block].succ if forward else cfg.blocks[block].pred
-        return [e.dst if forward else e.src for e in edges]
-
     inputs: list[S] = [analysis.initial(cfg) for _ in range(n_blocks)]
     outputs: list[S] = [analysis.initial(cfg) for _ in range(n_blocks)]
-    order = _rpo(cfg, forward)
-    worklist: deque[int] = deque(order)
+    worklist: deque[int] = deque(_rpo(cfg))
     queued = set(worklist)
     steps = 0
     converged = True
@@ -315,172 +252,17 @@ def solve(cfg: CFG, analysis: Analysis[S], max_steps: int | None = None) -> Solu
         block = worklist.popleft()
         queued.discard(block)
         steps += 1
-        state = analysis.boundary(cfg) if block == start else analysis.initial(cfg)
-        for pred in preds(block):
-            state = analysis.join(state, outputs[pred])
+        state = analysis.boundary(cfg) if block == cfg.entry else analysis.initial(cfg)
+        for edge in cfg.blocks[block].pred:
+            state = analysis.join(state, outputs[edge.src])
         inputs[block] = state
-        elements = cfg.blocks[block].elements
-        for element in elements if forward else reversed(elements):
+        for element in cfg.blocks[block].elements:
             state = analysis.transfer(element, state)
         if state != outputs[block]:
             outputs[block] = state
-            for nxt in succs(block):
+            for nxt in (e.dst for e in cfg.blocks[block].succ):
                 if nxt not in queued:
                     worklist.append(nxt)
                     queued.add(nxt)
     return Solution(cfg, analysis, inputs, outputs, steps, converged)
 
-
-# ---------------------------------------------------------------- instances
-class ReachingDefinitions(Analysis["dict[str, frozenset[int]]"]):
-    """Which definition sites may have produced each name's current value.
-
-    Sites are dense element ids assigned per CFG (see :meth:`site_of`);
-    rebinding a name is a strong update (the new site replaces all prior
-    ones along that path).
-    """
-
-    forward = True
-
-    def __init__(self, cfg: CFG) -> None:
-        self._site_ids: dict[int, int] = {}
-        self._site_elements: list[Element] = []
-        for block in cfg.blocks:
-            for element in block.elements:
-                self._site_ids[id(element)] = len(self._site_elements)
-                self._site_elements.append(element)
-
-    def site_of(self, element: Element) -> int:
-        """Dense definition-site id of an element."""
-        return self._site_ids[id(element)]
-
-    def element_at(self, site: int) -> Element:
-        """Inverse of :meth:`site_of`."""
-        return self._site_elements[site]
-
-    def boundary(self, cfg: CFG) -> dict[str, frozenset[int]]:
-        return {}
-
-    def initial(self, cfg: CFG) -> dict[str, frozenset[int]]:
-        return {}
-
-    def join(
-        self, a: dict[str, frozenset[int]], b: dict[str, frozenset[int]]
-    ) -> dict[str, frozenset[int]]:
-        if not a:
-            return b
-        if not b:
-            return a
-        merged = dict(a)
-        for name, sites in b.items():
-            existing = merged.get(name)
-            merged[name] = sites if existing is None else existing | sites
-        return merged
-
-    def transfer(
-        self, element: Element, state: dict[str, frozenset[int]]
-    ) -> dict[str, frozenset[int]]:
-        defs, _ = element_defs_uses(element)
-        if not defs:
-            return state
-        site = frozenset((self.site_of(element),))
-        new = dict(state)
-        for name in defs:
-            new[name] = site
-        return new
-
-
-class Liveness(Analysis[frozenset[str]]):
-    """Backward may-use: names whose current value may still be read.
-
-    Closure-captured and ``global``/``nonlocal`` names are live at exit —
-    a nested function may read them after the last visible use.
-    """
-
-    forward = False
-
-    def boundary(self, cfg: CFG) -> frozenset[str]:
-        return cfg.closure_names | cfg.global_names
-
-    def initial(self, cfg: CFG) -> frozenset[str]:
-        return frozenset()
-
-    def join(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-        return a | b
-
-    def transfer(self, element: Element, state: frozenset[str]) -> frozenset[str]:
-        defs, uses = element_defs_uses(element)
-        if not defs and not uses:
-            return state
-        return (state - defs) | uses
-
-
-class MovedNames(Analysis[frozenset[tuple[str, int]]]):
-    """Names whose ownership a ``moves(...)`` pragma transferred away.
-
-    The state holds ``(name, pragma line)`` pairs; rebinding the name
-    clears it (a fresh value is owned again). Built per file from the
-    pragma map — the rule layer reports any *use* of a moved name.
-    """
-
-    forward = True
-
-    def __init__(self, moves_by_line: dict[int, tuple[str, ...]]) -> None:
-        self._moves_by_line = moves_by_line
-
-    def boundary(self, cfg: CFG) -> frozenset[tuple[str, int]]:
-        return frozenset()
-
-    def initial(self, cfg: CFG) -> frozenset[tuple[str, int]]:
-        return frozenset()
-
-    def join(
-        self, a: frozenset[tuple[str, int]], b: frozenset[tuple[str, int]]
-    ) -> frozenset[tuple[str, int]]:
-        return a | b
-
-    def transfer(
-        self, element: Element, state: frozenset[tuple[str, int]]
-    ) -> frozenset[tuple[str, int]]:
-        defs, _ = element_defs_uses(element)
-        if defs:
-            state = frozenset(pair for pair in state if pair[0] not in defs)
-        line = getattr(element, "lineno", None)
-        if line is not None:
-            moved = self._moves_by_line.get(int(line))
-            if moved:
-                state = state | frozenset((name, int(line)) for name in moved)
-        return state
-
-
-# ----------------------------------------------------- per-file shared cache
-def file_cfgs(ctx: FileContext) -> list[CFG]:
-    """CFGs of every function in the file, built once and shared by rules."""
-    cached = ctx.analysis_cache.get("cfgs")
-    if cached is None:
-        cached = [build_cfg(fn, qualname) for qualname, fn in iter_functions(ctx.tree)]
-        ctx.analysis_cache["cfgs"] = cached
-    return cast("list[CFG]", cached)
-
-
-def reaching_of(ctx: FileContext, cfg: CFG) -> tuple[ReachingDefinitions, "Solution[dict[str, frozenset[int]]]"]:
-    """Cached reaching-definitions solution for one function."""
-    key = f"reaching:{id(cfg)}"
-    cached = ctx.analysis_cache.get(key)
-    if cached is None:
-        analysis = ReachingDefinitions(cfg)
-        cached = (analysis, solve(cfg, analysis))
-        ctx.analysis_cache[key] = cached
-    return cast(
-        "tuple[ReachingDefinitions, Solution[dict[str, frozenset[int]]]]", cached
-    )
-
-
-def liveness_of(ctx: FileContext, cfg: CFG) -> "Solution[frozenset[str]]":
-    """Cached liveness solution for one function."""
-    key = f"liveness:{id(cfg)}"
-    cached = ctx.analysis_cache.get(key)
-    if cached is None:
-        cached = solve(cfg, Liveness())
-        ctx.analysis_cache[key] = cached
-    return cast("Solution[frozenset[str]]", cached)

@@ -1,19 +1,18 @@
-"""Value-provenance classification for the dataflow rules.
+"""Resource provenance for ``resource-leak`` and the summary layer.
 
-The dataflow rule families need one shared vocabulary: which expressions
-*mint* a tracked value (an RNG stream, a thread, a lock, an SPI/device
-handle, a detector session), which function parameters carry a seeded
-generator in from the caller, and which method calls *release* a tracked
-resource. Classification is by dotted spelling — the same convention the
-lexical rules use (``dotted_name``), which matches this repo's import
-style without needing whole-program import resolution.
+One shared vocabulary: which expressions *mint* a tracked resource (a
+thread, a detector session, a file, a store/gateway/shard handle) and
+which method calls *release* it. Classification is by dotted spelling —
+the same convention the lexical rules use (``dotted_name``), which
+matches this repo's import style without needing whole-program import
+resolution.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.cfg import Element, FunctionLike
+from repro.lint.cfg import Element
 from repro.lint.rules import dotted_name
 
 __all__ = [
@@ -23,19 +22,7 @@ __all__ = [
     "binding_of",
     "constructor_kind",
     "kind_of_dotted",
-    "rng_param_names",
 ]
-
-#: RNG-minting callables: explicit-seed numpy generator constructors.
-_RNG_CTORS = frozenset({"default_rng", "Generator", "RandomState"})
-
-#: ``threading`` synchronisation primitives (provenance tag only — lock
-#: lifecycle is ``with``-governed everywhere and policed by guarded-by).
-_LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"})
-
-#: Hardware handle types from ``repro.hardware`` (no release method —
-#: tagged for provenance, exempt from lifecycle requirements).
-_HANDLE_CTORS = frozenset({"SpiBus", "XepDriver", "FrameStream", "UwbRadarDevice"})
 
 #: Trace-store handle types from ``repro.store``: a writer left unclosed
 #: loses its buffered tail chunk and never finalizes, a reader pins an
@@ -73,10 +60,7 @@ TRACKED_KINDS = frozenset(RELEASE_METHODS)
 
 #: Human description per kind, used in diagnostics.
 KIND_NOUN: dict[str, str] = {
-    "rng": "seeded generator",
     "thread": "thread",
-    "lock": "lock",
-    "handle": "hardware handle",
     "session": "detector session",
     "file": "file handle",
     "store": "trace-store handle",
@@ -101,14 +85,8 @@ def kind_of_dotted(dotted: str) -> str | None:
     """
     parts = dotted.split(".")
     last = parts[-1]
-    if last in _RNG_CTORS:
-        return "rng"
     if last == "Thread" and (len(parts) == 1 or parts[-2] == "threading"):
         return "thread"
-    if last in _LOCK_CTORS and (len(parts) == 1 or parts[-2] == "threading"):
-        return "lock"
-    if last in _HANDLE_CTORS:
-        return "handle"
     if last in ("DetectorSession", "IngestSession"):
         return "session"
     if last in _STORE_CTORS:
@@ -123,35 +101,6 @@ def kind_of_dotted(dotted: str) -> str | None:
     if dotted == "open":
         return "file"
     return None
-
-
-def rng_param_names(fn: FunctionLike) -> frozenset[str]:
-    """Parameters that carry a caller-seeded generator.
-
-    A parameter counts when its annotation names a ``Generator`` or when
-    its name follows the repo convention (``rng`` or ``*_rng``).
-    """
-    names: set[str] = set()
-    args = fn.args
-    for arg in args.posonlyargs + args.args + args.kwonlyargs:
-        if arg.arg == "rng" or arg.arg.endswith("_rng"):
-            names.add(arg.arg)
-            continue
-        annotation = arg.annotation
-        if annotation is not None:
-            text = _annotation_text(annotation)
-            if "Generator" in text:
-                names.add(arg.arg)
-    return frozenset(names)
-
-
-def _annotation_text(annotation: ast.expr) -> str:
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return annotation.value
-    try:
-        return ast.unparse(annotation)
-    except ValueError:
-        return ""
 
 
 def binding_of(element: Element) -> tuple[str, ast.expr] | None:

@@ -11,7 +11,7 @@ rule catalogue is readable in one place.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic
@@ -69,34 +69,15 @@ def dotted_name(node: ast.AST) -> str | None:
 def all_rules() -> tuple[LintRule, ...]:
     """Every registered rule, in catalogue order."""
     from repro.lint.rules import (
-        aliasing,
-        arraycontract,
         concurrency,
-        deadflow,
         determinism,
-        hotpath,
         hygiene,
         lifecycle,
         locks,
-        rngflow,
         units,
-        viewescape,
     )
 
-    modules = (
-        determinism,
-        rngflow,
-        units,
-        locks,
-        hygiene,
-        lifecycle,
-        deadflow,
-        hotpath,
-        concurrency,
-        arraycontract,
-        aliasing,
-        viewescape,
-    )
+    modules = (determinism, units, locks, hygiene, lifecycle, concurrency)
     out: list[LintRule] = []
     for module in modules:
         out.extend(module.RULES)
@@ -112,7 +93,3 @@ def rules_by_name() -> dict[str, LintRule]:
         registry[rule.name] = rule
     return registry
 
-
-def iter_nodes(tree: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` with a stable name for rule modules to import."""
-    return ast.walk(tree)

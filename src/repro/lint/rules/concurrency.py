@@ -1,82 +1,27 @@
-"""Asyncio concurrency rules for the gateway's event-loop code.
+"""``blocking-in-async``: nothing on the gateway's event loop may block.
 
-The gateway (PR 7) moved ingest onto a single asyncio event loop, which
-buys the fleet-scale fan-in but makes two whole new bug classes cheap to
-write and expensive to debug:
-
-- A *blocking* call — ``time.sleep``, sync file IO, ``Thread.join`` —
-  anywhere on the loop stalls **every** session at once. The direct
-  cases are greppable; the dangerous ones hide two sync helpers away.
-  ``blocking-in-async`` uses the interprocedural ``may_block`` summaries
-  to convict the whole chain and name the leaf primitive.
-- A coroutine *called* but never awaited silently does nothing
-  (``unawaited-coroutine``), and a ``create_task`` handle that is never
-  stored, awaited, or cancelled can be garbage-collected mid-flight —
-  the event loop only keeps weak references (``task-leak``).
-- A synchronous ``threading`` lock held across an ``await`` parks the
-  entire loop if any other thread holds it (``lock-across-await``);
-  the pump threads of the fleet layer make that a real interleaving
-  here, not a theoretical one.
-
-The first three rules consume the whole-tree project analysis
-(:class:`~repro.lint.summaries.ProjectAnalysis`) and stay silent when it
-is absent (``--select`` runs without an interprocedural rule active).
-``task-leak`` is a per-function CFG dataflow pass in the style of
-``resource-leak`` and needs no project.
+The gateway multiplexes every vehicle onto one asyncio event loop, so a
+blocking call — ``time.sleep``, sync file IO, ``Thread.join`` —
+anywhere on the loop stalls **every** session at once. The direct cases
+are greppable; the dangerous ones hide two sync helpers away. The rule
+uses the interprocedural ``may_block`` summaries
+(:class:`~repro.lint.summaries.ProjectAnalysis`) to convict the whole
+chain and name the leaf primitive, and stays silent when the project
+analysis is absent. It caught five real sites in the gateway server:
+recorder opens in HELLO handling, recording finalisation in BYE and
+cleanup, and scheduler-thread joins in ``shutdown()``.
 """
 
 from __future__ import annotations
 
-import ast
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
-from repro.lint.callgraph import FunctionFacts, ModuleFacts, Resolution
-from repro.lint.cfg import CFG, Element
 from repro.lint.context import FileContext
-from repro.lint.dataflow import Analysis, element_defs_uses, file_cfgs, solve
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.rules import LintRule, dotted_name
-from repro.lint.summaries import ProjectAnalysis, blocking_reason
+from repro.lint.rules import LintRule
+from repro.lint.summaries import blocking_reason
 
-__all__ = [
-    "BlockingInAsyncRule",
-    "UnawaitedCoroutineRule",
-    "LockAcrossAwaitRule",
-    "TaskLeakRule",
-    "RULES",
-]
-
-#: Synchronous lock types that must never be held across an ``await``.
-#: Their asyncio namesakes are the fix, so the module root matters.
-_SYNC_LOCK_TYPES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-    }
-)
-
-#: Callables whose result is a live task the caller now owns.
-_SPAWNERS = frozenset({"create_task", "ensure_future"})
-
-
-def _project_functions(
-    ctx: FileContext,
-) -> Iterator[
-    tuple[ProjectAnalysis, ModuleFacts, FunctionFacts, str, list[Resolution]]
-]:
-    """This file's functions with their per-call resolutions, if any."""
-    project = ctx.project
-    if project is None or ctx.module_parts is None:
-        return
-    mod = project.module_of(ctx.module_parts)
-    if mod is None:
-        return
-    for fn in mod.functions.values():
-        full = f"{mod.dotted}.{fn.qualname}"
-        yield project, mod, fn, full, project.project.resolved_calls(full)
+__all__ = ["BlockingInAsyncRule", "RULES"]
 
 
 def _short(target: str) -> str:
@@ -98,9 +43,16 @@ class BlockingInAsyncRule(LintRule):
     requires_project = True
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        for project, mod, fn, full, resolved in _project_functions(ctx):
+        project = ctx.project
+        if project is None:
+            return
+        mod = project.module_of(ctx.module_parts)
+        if mod is None:
+            return
+        for fn in mod.functions.values():
             if not fn.is_async:
                 continue
+            resolved = project.project.resolved_calls(f"{mod.dotted}.{fn.qualname}")
             for fact, res in zip(fn.calls, resolved):
                 primitive = blocking_reason(res)
                 if primitive is not None:
@@ -139,227 +91,4 @@ class BlockingInAsyncRule(LintRule):
                 )
 
 
-class UnawaitedCoroutineRule(LintRule):
-    """Calling a coroutine function without awaiting it does nothing."""
-
-    name = "unawaited-coroutine"
-    summary = (
-        "a coroutine created and immediately discarded never runs; await it "
-        "or schedule it with create_task and keep the handle"
-    )
-    requires_project = True
-
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        for project, mod, fn, full, resolved in _project_functions(ctx):
-            for fact, res in zip(fn.calls, resolved):
-                if not fact.discarded or fact.awaited:
-                    continue
-                if res.category != "internal" or res.target is None:
-                    continue
-                callee = project.summary(res.target)
-                if callee is None or not callee.is_async:
-                    continue
-                yield Diagnostic(
-                    path=ctx.path,
-                    line=fact.line,
-                    col=fact.col,
-                    rule=self.name,
-                    message=(
-                        f"{_short(res.target)}() is a coroutine function; "
-                        "calling it only builds the coroutine object, which is "
-                        "dropped here without ever running — await it, or "
-                        "schedule it with asyncio.create_task(...) and keep "
-                        "the handle"
-                    ),
-                )
-
-
-class LockAcrossAwaitRule(LintRule):
-    """Sync threading locks must not be held across an ``await``."""
-
-    name = "lock-across-await"
-    summary = (
-        "holding a threading.Lock/Condition across an await parks the whole "
-        "event loop behind other threads; use asyncio.Lock or release first"
-    )
-    requires_project = True
-
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        for project, mod, fn, full, resolved in _project_functions(ctx):
-            for hold in fn.lock_holds:
-                lock_type = self._sync_lock_type(mod, fn, hold.parts)
-                if lock_type is None:
-                    continue
-                spelled = ".".join(hold.parts)
-                yield Diagnostic(
-                    path=ctx.path,
-                    line=hold.line,
-                    col=hold.col,
-                    rule=self.name,
-                    message=(
-                        f"sync {lock_type} {spelled!r} is held across an "
-                        f"await in {fn.qualname}; if another thread holds it, "
-                        "the entire event loop parks — use asyncio.Lock, or "
-                        "release before awaiting"
-                    ),
-                )
-
-    @staticmethod
-    def _sync_lock_type(
-        mod: ModuleFacts, fn: FunctionFacts, parts: tuple[str, ...]
-    ) -> str | None:
-        """Canonical sync-lock type of the held object, or None (benign)."""
-        spelling: str | None = None
-        if len(parts) == 1:
-            spelling = fn.local_types.get(parts[0])
-        elif len(parts) == 2 and parts[0] in ("self", "cls") and fn.class_name:
-            cls = mod.classes.get(fn.class_name)
-            if cls is not None:
-                spelling = cls.attr_types.get(parts[1])
-        if spelling is None:
-            return None
-        head, _, rest = spelling.partition(".")
-        origin = mod.imports.get(head, head)
-        dotted = f"{origin}.{rest}" if rest else origin
-        return dotted if dotted in _SYNC_LOCK_TYPES else None
-
-
-def _spawn_call(value: ast.expr) -> bool:
-    """True when ``value`` is a ``create_task``/``ensure_future`` call."""
-    if not isinstance(value, ast.Call):
-        return False
-    dotted = dotted_name(value.func)
-    return dotted is not None and dotted.split(".")[-1] in _SPAWNERS
-
-
-def _task_roles(element: Element) -> tuple[frozenset[str], frozenset[str]]:
-    """``(cancelled names, escaped names)`` for one CFG element.
-
-    A task handle is *cancelled* when it is the receiver of ``.cancel()``.
-    Receivers of other methods (``done()``, ``add_done_callback``) keep
-    the obligation here; any other load — awaited, passed to ``gather``,
-    stored, returned — hands the reference (and the strong ref asyncio
-    itself does not keep) to someone else.
-    """
-    if not isinstance(element, ast.AST):
-        return frozenset(), frozenset()  # synthetic Bind wrappers
-    cancelled: set[str] = set()
-    receiver_only: set[str] = set()
-    receivers: dict[int, str] = {}
-    for node in ast.walk(element):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-        ):
-            receivers[id(node.func.value)] = node.func.attr
-    for node in ast.walk(element):
-        if not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
-            continue
-        method = receivers.get(id(node))
-        if method is None:
-            continue
-        if method == "cancel":
-            cancelled.add(node.id)
-        else:
-            receiver_only.add(node.id)
-    _, uses = element_defs_uses(element)
-    escaped = frozenset(uses - cancelled - receiver_only)
-    return frozenset(cancelled), escaped
-
-
-class _LiveTasks(Analysis["frozenset[tuple[str, int]]"]):
-    """May-be-dangling task handles, as ``(name, spawn line)`` pairs."""
-
-    forward = True
-
-    def boundary(self, cfg: CFG) -> frozenset[tuple[str, int]]:
-        return frozenset()
-
-    def initial(self, cfg: CFG) -> frozenset[tuple[str, int]]:
-        return frozenset()
-
-    def join(
-        self, a: frozenset[tuple[str, int]], b: frozenset[tuple[str, int]]
-    ) -> frozenset[tuple[str, int]]:
-        return a | b
-
-    def transfer(
-        self, element: Element, state: frozenset[tuple[str, int]]
-    ) -> frozenset[tuple[str, int]]:
-        if not state and not isinstance(element, (ast.Assign, ast.AnnAssign)):
-            return state
-        cancelled, escaped = _task_roles(element)
-        dropped = cancelled | escaped
-        defs, _ = element_defs_uses(element)
-        if dropped or defs:
-            state = frozenset(
-                pair
-                for pair in state
-                if pair[0] not in dropped and pair[0] not in defs
-            )
-        if isinstance(element, (ast.Assign, ast.AnnAssign)):
-            target = (
-                element.targets[0]
-                if isinstance(element, ast.Assign) and len(element.targets) == 1
-                else element.target
-                if isinstance(element, ast.AnnAssign)
-                else None
-            )
-            value = element.value
-            if (
-                isinstance(target, ast.Name)
-                and value is not None
-                and _spawn_call(value)
-            ):
-                state = state | frozenset(((target.id, int(value.lineno)),))
-        return state
-
-
-class TaskLeakRule(LintRule):
-    """Every spawned task must be awaited, cancelled, or stored somewhere."""
-
-    name = "task-leak"
-    summary = (
-        "create_task/ensure_future results must be awaited, cancelled, or "
-        "stored on every CFG path — asyncio keeps only a weak reference"
-    )
-
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        # A spawn whose result is dropped on the spot is the direct form.
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Expr) and _spawn_call(node.value):
-                yield self.diagnostic(
-                    ctx,
-                    node.value,
-                    "task spawned and immediately dropped; asyncio keeps only "
-                    "a weak reference, so it can be garbage-collected before "
-                    "it finishes — keep the handle and await or cancel it",
-                )
-        for cfg in file_cfgs(ctx):
-            if cfg.uses_dynamic_locals:
-                continue
-            solution = solve(cfg, _LiveTasks())
-            leaked = solution.inputs[cfg.exit]
-            for name, line in sorted(leaked, key=lambda pair: (pair[1], pair[0])):
-                yield Diagnostic(
-                    path=ctx.path,
-                    line=line,
-                    col=0,
-                    rule=self.name,
-                    message=(
-                        f"task {name!r} spawned in {cfg.qualname} may reach "
-                        "function exit without being awaited, cancelled, or "
-                        "handed off; an unreferenced task can be "
-                        "garbage-collected mid-flight — await it, cancel it "
-                        "in a finally, or store it on the owner"
-                    ),
-                )
-
-
-RULES: tuple[LintRule, ...] = (
-    BlockingInAsyncRule(),
-    UnawaitedCoroutineRule(),
-    LockAcrossAwaitRule(),
-    TaskLeakRule(),
-)
+RULES: tuple[LintRule, ...] = (BlockingInAsyncRule(),)

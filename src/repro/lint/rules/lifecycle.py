@@ -41,9 +41,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from repro.lint.cfg import CFG, Element
+from repro.lint.cfg import CFG, Element, build_cfg, iter_functions
 from repro.lint.context import FileContext
-from repro.lint.dataflow import Analysis, element_defs_uses, file_cfgs, solve
+from repro.lint.dataflow import Analysis, element_defs_uses, solve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.provenance import (
     KIND_NOUN,
@@ -161,8 +161,6 @@ def _dropped_names(element: Element, resolver: _CallResolver | None) -> frozense
 class _Unreleased(Analysis["frozenset[tuple[str, int]]"]):
     """May-be-unreleased resources, as ``(name, acquisition line)`` pairs."""
 
-    forward = True
-
     def __init__(
         self,
         moves_by_line: dict[int, tuple[str, ...]],
@@ -243,7 +241,8 @@ class ResourceLifecycleRule(LintRule):
         moves_by_line = {
             line: pragmas.moves for line, pragmas in ctx.pragmas.items() if pragmas.moves
         }
-        for cfg in file_cfgs(ctx):
+        for qualname, fn in iter_functions(ctx.tree):
+            cfg = build_cfg(fn, qualname)
             if cfg.uses_dynamic_locals:
                 continue
             resolver = (

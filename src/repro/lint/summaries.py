@@ -18,8 +18,6 @@ one :class:`FunctionSummary` per function in the tree:
 - **returns_owned** — the function hands its caller a tracked resource
   (directly, via a typed local, or through a helper that does), so the
   caller inherits the release obligation.
-- **awaits** — the body contains an ``await`` (used to separate "sync
-  helper called from a coroutine" findings from direct ones).
 
 Caching: warm runs must stay close to the intra-procedural engine, so
 everything expensive is memoised in one JSON file under the result
@@ -39,13 +37,12 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence, Union
 
 from repro.lint.callgraph import (
     CALLGRAPH_VERSION,
-    CallFact,
     FunctionFacts,
     ModuleFacts,
     Project,
@@ -66,9 +63,8 @@ __all__ = [
 ]
 
 #: Bump when summary semantics change; invalidates the persisted store.
-#: 2: array-contract domain (array_params, returns_array, alias_safe,
-#: hotpath) propagated through SCCs.
-SUMMARIES_VERSION = "2"
+#: 3: array-contract domain, awaits and locks-across-await removed.
+SUMMARIES_VERSION = "3"
 
 _STORE_NAME = "summaries.json"
 _FACTS_NAME = "facts.json"
@@ -111,7 +107,7 @@ _PATH_METHODS = frozenset(
 
 #: ``threading`` receiver methods that park the calling thread. ``acquire``
 #: / ``with lock`` are deliberately excluded — short critical sections are
-#: this codebase's design, and lock-across-await polices the async side.
+#: this codebase's design.
 _THREADING_WAIT_METHODS = frozenset({"join", "wait", "wait_for"})
 
 
@@ -145,29 +141,10 @@ class FunctionSummary:
     block_primitive: str
     #: ``module:line`` of the leaf primitive call site.
     block_site: str
-    awaits: bool
     escapes: frozenset[str]
     consumes: frozenset[str]
     #: Tracked resource kind handed to the caller, "" when none.
     returns_owned: str
-    #: Sync locks held across an ``await`` (dotted spellings).
-    locks_across_await: tuple[str, ...]
-    #: Array contracts per parameter — declared on this function or
-    #: inherited from a callee the parameter is handed to verbatim:
-    #: name → (dims or None, dtype). Dims are symbolic spellings.
-    array_params: dict[str, tuple[tuple[str, ...] | None, str]] = field(
-        default_factory=dict
-    )
-    #: Array type of the return value (declared ``return`` contract,
-    #: locally inferred, or propagated from a returned callee).
-    returns_array: tuple[tuple[str, ...] | None, str] | None = None
-    #: The function is documented safe for ``out=`` aliasing an input.
-    alias_safe: bool = False
-    #: The function carries the ``hotpath`` def-line pragma.
-    hotpath: bool = False
-    #: Parameter contracts were declared in source (pragma/docstring),
-    #: as opposed to only inherited — the census separates the two.
-    declares_contracts: bool = False
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -176,28 +153,9 @@ class FunctionSummary:
             "may_block": self.may_block,
             "block_primitive": self.block_primitive,
             "block_site": self.block_site,
-            "awaits": self.awaits,
             "escapes": sorted(self.escapes),
             "consumes": sorted(self.consumes),
             "returns_owned": self.returns_owned,
-            "locks_across_await": list(self.locks_across_await),
-            "array_params": {
-                name: [None if dims is None else list(dims), dtype]
-                for name, (dims, dtype) in sorted(self.array_params.items())
-            },
-            "returns_array": (
-                None
-                if self.returns_array is None
-                else [
-                    None
-                    if self.returns_array[0] is None
-                    else list(self.returns_array[0]),
-                    self.returns_array[1],
-                ]
-            ),
-            "alias_safe": self.alias_safe,
-            "hotpath": self.hotpath,
-            "declares_contracts": self.declares_contracts,
         }
 
     @staticmethod
@@ -208,48 +166,10 @@ class FunctionSummary:
             may_block=bool(data["may_block"]),
             block_primitive=str(data["block_primitive"]),
             block_site=str(data["block_site"]),
-            awaits=bool(data["awaits"]),
             escapes=frozenset(data["escapes"]),
             consumes=frozenset(data["consumes"]),
             returns_owned=str(data["returns_owned"]),
-            locks_across_await=tuple(data["locks_across_await"]),
-            array_params={
-                str(name): _array_type_from_json(entry)
-                for name, entry in data.get("array_params", {}).items()
-            },
-            returns_array=(
-                _array_type_from_json(data["returns_array"])
-                if data.get("returns_array") is not None
-                else None
-            ),
-            alias_safe=bool(data.get("alias_safe", False)),
-            hotpath=bool(data.get("hotpath", False)),
-            declares_contracts=bool(data.get("declares_contracts", False)),
         )
-
-
-def _array_type_from_json(
-    entry: "list[Any]",
-) -> tuple[tuple[str, ...] | None, str]:
-    dims_raw, dtype_raw = entry
-    dims = None if dims_raw is None else tuple(str(d) for d in dims_raw)
-    return (dims, str(dtype_raw))
-
-
-def _sanitize_array(
-    array: tuple[tuple[str, ...] | None, str],
-) -> tuple[tuple[str, ...] | None, str]:
-    """Strip callee-scoped dim symbols before crossing a function boundary.
-
-    A symbolic dim name (``N``) only means something inside the function
-    that declared it; rank and literal dims survive the hop, names are
-    demoted to ``?`` so two unrelated callees' symbols can never be
-    forced equal at a caller's call site.
-    """
-    dims, dtype = array
-    if dims is None:
-        return array
-    return (tuple(d if d.isdigit() else "?" for d in dims), dtype)
 
 
 def _param_at(
@@ -294,22 +214,10 @@ def compute_summaries(project: Project) -> dict[str, FunctionSummary]:
     escapes: dict[str, set[str]] = {}
     consumes: dict[str, set[str]] = {}
     returns_owned: dict[str, str] = {}
-    array_params: dict[str, dict[str, tuple[tuple[str, ...] | None, str]]] = {}
-    returns_array: dict[str, tuple[tuple[str, ...] | None, str]] = {}
 
     for full, (mod, fn) in facts.items():
         escapes[full] = set(fn.param_escapes_direct)
         consumes[full] = set(fn.param_consumes_direct)
-        array_params[full] = {
-            name: (dims, dtype)
-            for name, (dims, dtype) in fn.array_contracts.items()
-            if name != "return"
-        }
-        declared_return = fn.array_contracts.get("return")
-        if declared_return is not None:
-            returns_array[full] = (declared_return[0], declared_return[1])
-        elif fn.returned_array is not None:
-            returns_array[full] = fn.returned_array
         for fact, res in zip(fn.calls, resolved[full]):
             if full not in block_primitive:
                 primitive = blocking_reason(res)
@@ -379,36 +287,6 @@ def compute_summaries(project: Project) -> dict[str, FunctionSummary]:
                             returns_owned[full] = kind
                             changed = True
                             break
-                # Array contracts flow the other way to escapes: a param
-                # handed verbatim to a contracted callee param inherits
-                # that contract (dims sanitised — see _sanitize_array).
-                for param, call_index, slot in fn.param_passes:
-                    if param in array_params[full]:
-                        continue
-                    res = fn_resolved[call_index]
-                    if res.category != "internal" or res.target not in facts:
-                        continue
-                    if fn.calls[call_index].has_star_args:
-                        continue
-                    callee = facts[res.target][1]
-                    landing = _param_at(callee, slot, res.bound_receiver)
-                    if landing is not None and landing in array_params[res.target]:
-                        array_params[full][param] = _sanitize_array(
-                            array_params[res.target][landing]
-                        )
-                        changed = True
-                if full not in returns_array:
-                    for call_index in fn.returned_calls:
-                        res = fn_resolved[call_index]
-                        if (
-                            res.category == "internal"
-                            and res.target in returns_array
-                        ):
-                            returns_array[full] = _sanitize_array(
-                                returns_array[res.target]
-                            )
-                            changed = True
-                            break
 
     out: dict[str, FunctionSummary] = {}
     for full, (mod, fn) in facts.items():
@@ -418,18 +296,9 @@ def compute_summaries(project: Project) -> dict[str, FunctionSummary]:
             may_block=full in block_primitive,
             block_primitive=block_primitive.get(full, ""),
             block_site=block_site.get(full, ""),
-            awaits=fn.has_await,
             escapes=frozenset(escapes[full]),
             consumes=frozenset(consumes[full] - escapes[full]),
             returns_owned=returns_owned.get(full, ""),
-            locks_across_await=tuple(
-                ".".join(hold.parts) for hold in fn.lock_holds
-            ),
-            array_params=dict(array_params[full]),
-            returns_array=returns_array.get(full),
-            alias_safe=fn.alias_safe,
-            hotpath=fn.hotpath,
-            declares_contracts=bool(fn.array_contracts),
         )
     return out
 
@@ -604,11 +473,7 @@ def load_project(
                 tree = parse(display, raw)
                 if tree is None:
                     continue  # syntax error: the engine reports it per-file
-                try:
-                    source: "str | None" = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    source = None  # pragmas unreadable; facts stay AST-only
-                facts = extract_module_facts(parts, tree, source)
+                facts = extract_module_facts(parts, tree)
                 dirty = True
             used[sha] = cached if cached is not None else facts.to_json()
             modules[facts.dotted] = facts

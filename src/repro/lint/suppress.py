@@ -1,6 +1,6 @@
 """Inline ``# reprolint:`` pragma parsing.
 
-Three pragma forms, all attached to the physical line they appear on:
+Four pragma forms, all attached to the physical line they appear on:
 
 ``# reprolint: disable=rule-a,rule-b``
     Suppress the named rules (or ``all``) for findings anchored to this
@@ -20,32 +20,8 @@ Three pragma forms, all attached to the physical line they appear on:
 ``# reprolint: moves(name[,name...])``
     Ownership-transfer intent: the statement on this line hands the
     named local values to a consumer that now owns them (e.g. a session
-    registered with a scheduler that will close it). The dataflow rules
-    stop requiring release on this path and instead flag any *later*
-    use of a moved name (``use-after-move``) until it is rebound.
-
-``# reprolint: hotpath``
-    Placed on a ``def`` line: the function is on the per-frame hot path
-    and must not allocate per call — the ``hotpath-alloc`` rule flags
-    ``np.zeros`` / ``np.empty`` / ``np.concatenate`` inside it, and the
-    ``hotpath-copy`` rule flags implicit copies (``astype``, fancy
-    indexing, ``asarray`` on a strided view).
-
-``# reprolint: shape(name=(S,T,R),dtype=complex128)``
-    Array contract, placed on a ``def`` line (one pragma per name; the
-    token must contain no spaces). Declares the shape and optionally
-    the dtype of the named parameter — or of the result, when the name
-    is ``return``. Dims are symbolic names (``S``, ``n_bins``), integer
-    literals, or ``?`` (unknown). The shape/dtype rule family checks
-    call sites against these contracts and propagates them through
-    helpers; the same contracts can be written as a docstring
-    ``Shape:`` block instead (see :mod:`repro.lint.arrayflow`).
-
-``# reprolint: alias-safe``
-    Placed on a ``def`` line: the kernel is documented to produce
-    correct results when its ``out=`` buffer aliases an input array.
-    The ``out-aliasing`` rule trusts the declaration and stays silent
-    at call sites that alias.
+    registered with a scheduler that will close it). ``resource-leak``
+    stops requiring release of those names on this path.
 
 Pragmas are parsed from real COMMENT tokens via :mod:`tokenize`, so a
 ``# reprolint:`` inside a string literal is never misread as a pragma.
@@ -61,7 +37,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-__all__ = ["LinePragmas", "PragmaError", "ShapeContract", "scan_pragmas"]
+__all__ = ["LinePragmas", "PragmaError", "scan_pragmas"]
 
 _PRAGMA_RE = re.compile(r"#\s*reprolint:\s*(?P<body>.*\S)\s*$")
 _GUARDED_RE = re.compile(r"guarded-by\((?P<lock>[A-Za-z_][A-Za-z0-9_]*)\)$")
@@ -69,24 +45,6 @@ _MOVES_RE = re.compile(
     r"moves\((?P<names>[A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*)\)$"
 )
 _RULE_NAME_RE = re.compile(r"[a-z][a-z0-9-]*$")
-_SHAPE_RE = re.compile(
-    r"shape\((?P<name>[A-Za-z_][A-Za-z0-9_]*)="
-    r"\((?P<dims>[A-Za-z0-9_?]*(?:,[A-Za-z0-9_?]+)*),?\)"
-    r"(?:,dtype=(?P<dtype>[A-Za-z0-9_.]+))?\)$"
-)
-_DIM_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\?)$")
-
-
-@dataclass(frozen=True)
-class ShapeContract:
-    """One declared array contract: a parameter (or ``return``) spec."""
-
-    name: str
-    #: Symbolic dims (names, integer literals as strings, or "?"); an
-    #: empty tuple declares a scalar.
-    dims: tuple[str, ...]
-    #: Normalised dtype spelling ("complex128", ...), "" when undeclared.
-    dtype: str = ""
 
 
 @dataclass(frozen=True)
@@ -97,9 +55,6 @@ class LinePragmas:
     guarded_by: tuple[str, ...] = ()
     unguarded_ok: bool = False
     moves: tuple[str, ...] = ()
-    hotpath: bool = False
-    shapes: tuple[ShapeContract, ...] = ()
-    alias_safe: bool = False
 
     def suppresses(self, rule: str) -> bool:
         """True when this line disables ``rule`` (or everything)."""
@@ -121,9 +76,6 @@ class _Builder:
     guarded_by: list[str] = field(default_factory=list)
     unguarded_ok: bool = False
     moves: list[str] = field(default_factory=list)
-    hotpath: bool = False
-    shapes: list[ShapeContract] = field(default_factory=list)
-    alias_safe: bool = False
 
     def freeze(self) -> LinePragmas:
         return LinePragmas(
@@ -131,9 +83,6 @@ class _Builder:
             guarded_by=tuple(self.guarded_by),
             unguarded_ok=self.unguarded_ok,
             moves=tuple(self.moves),
-            hotpath=self.hotpath,
-            shapes=tuple(self.shapes),
-            alias_safe=self.alias_safe,
         )
 
 
@@ -152,29 +101,6 @@ def _parse_body(
             builder.disabled.update(names)
         elif token == "unguarded-ok":
             builder.unguarded_ok = True
-        elif token == "hotpath":
-            builder.hotpath = True
-        elif token == "alias-safe":
-            builder.alias_safe = True
-        elif token.startswith("shape"):
-            match = _SHAPE_RE.fullmatch(token)
-            dims = (
-                tuple(d for d in match.group("dims").split(",") if d)
-                if match is not None
-                else ()
-            )
-            if match is None or not all(_DIM_RE.fullmatch(d) for d in dims):
-                errors.append(
-                    PragmaError(line, col, f"malformed shape pragma: {token!r}")
-                )
-                continue
-            builder.shapes.append(
-                ShapeContract(
-                    name=match.group("name"),
-                    dims=dims,
-                    dtype=match.group("dtype") or "",
-                )
-            )
         elif token.startswith("guarded-by"):
             match = _GUARDED_RE.fullmatch(token)
             if match is None:

@@ -27,11 +27,20 @@ Accounting invariants:
   counted as a crash loss. ``drained(sid)`` is exactly
   ``consumed >= accepted``, and reports ship *after* processing, so a
   drained session's results are already visible parent-side.
-- A SIGKILLed worker costs precisely its own ring's in-flight slots:
-  the supervisor counts them (``fleet.dropped_crash``), spawns a
-  replacement shard, re-homes the dead shard's sessions onto it, and
-  fails any parent call waiting on the dead worker — sessions on other
-  shards never stall, and no parent call blocks unboundedly.
+- A SIGKILLed worker costs only the frames it took off its ring but
+  never reported: at most one tick (``_TICK_MAX`` slots). The
+  supervisor reads every report left in the dead worker's pipe, spawns
+  a replacement shard, re-homes the dead shard's sessions onto it, and
+  moves the dead ring's unconsumed slots onto the replacement's ring —
+  the parent owns both segments, so frames accepted after the kill are
+  not lost either. It counts the rest (``fleet.dropped_crash``) and
+  fails any parent call waiting on the dead worker; sessions on other
+  shards never stall, and no parent call blocks unboundedly. Liveness
+  is never checked on ``submit()``: frames for a dead shard simply wait
+  in its ring until the re-home.
+- A session's :class:`AttachMsg` is sent before ``submit()`` can reach
+  its shard (before ``_assign`` points there), so a worker never sees a
+  frame ahead of its session's attach.
 """
 
 from __future__ import annotations
@@ -125,6 +134,9 @@ class ShardedFleet:
         self._cond = threading.Condition()
         self._pool: list[ShardWorker] = []  # reprolint: guarded-by(_cond)
         self._assign: dict[str, ShardWorker] = {}  # reprolint: guarded-by(_cond)
+        #: Sessions between attach()'s two critical sections: reserved,
+        #: their AttachMsg in flight, not yet reachable by submit().
+        self._attaching: dict[str, ShardWorker] = {}  # reprolint: guarded-by(_cond)
         self._index_of: dict[str, int] = {}  # reprolint: guarded-by(_cond)
         self._sessions: dict[str, DetectorSession] = {}  # reprolint: guarded-by(_cond)
         self._accepted: dict[str, int] = {}  # reprolint: guarded-by(_cond)
@@ -235,12 +247,21 @@ class ShardedFleet:
             index = self._next_index
             self._next_index += 1
             self._sessions[sid] = session
-            self._assign[sid] = worker
             self._index_of[sid] = index
             self._accepted.setdefault(sid, 0)
             self._consumed.setdefault(sid, 0)
             self._dropped.setdefault(sid, 0)
+            self._attaching[sid] = worker
+        # The attach goes down the pipe before submit() can route a frame
+        # to this shard (see the module docstring). Sent outside the lock:
+        # a full pipe must not stall the supervisor. Should the worker die
+        # in between, the crash path re-sends it to the replacement and
+        # retargets ``_attaching``.
         worker.send(self._attach_msg(session, index))
+        with self._cond:
+            target = self._attaching.pop(sid, None)
+            if target is not None:  # None: unhomed by the respawn backstop
+                self._assign[sid] = target
 
     def detach(self, session_id: str) -> int:
         """Flush and unhome a session; returns frames lost on the way.
@@ -348,6 +369,15 @@ class ShardedFleet:
             for sid, worker in self._assign.items():
                 out.setdefault(worker.shard_index, []).append(sid)
             return out
+
+    def shard_pid(self, shard_index: int) -> int:
+        """OS process id of a live shard's worker (KeyError when unknown)."""
+        with self._cond:
+            for worker in self._pool:
+                if worker.shard_index == shard_index:
+                    pid: int = worker.process.pid
+                    return pid
+        raise KeyError(f"no live shard {shard_index}")
 
     # -------------------------------------------------------------- supervisor
     def _spawn_worker(self, ctx: Any) -> ShardWorker:
@@ -463,25 +493,22 @@ class ShardedFleet:
             self._restart_shard(worker)
 
     def _restart_shard(self, worker: ShardWorker) -> None:
-        """Crash path: account losses, respawn, re-home (see module doc)."""
+        """Crash path: settle accounts, respawn, re-home (see module doc)."""
+        # Reports the worker sent before it died still count: apply them
+        # all first, so only frames it never reported are charged.
+        while True:
+            try:
+                if not worker.conn.poll(0):
+                    break
+                msg = worker.conn.recv()
+            except (EOFError, OSError):
+                break
+            self._handle_message(worker, msg)
         with self._cond:
             if worker not in self._pool:
                 return
             homed = [sid for sid, w in self._assign.items() if w is worker]
-            for sid in homed:
-                lost = self._accepted.get(sid, 0) - self._consumed.get(sid, 0)
-                if lost > 0:
-                    # The dead shard's in-flight ring slots: the only
-                    # frames a crash may cost, per the loss contract.
-                    self._consumed[sid] = self._accepted[sid]
-                    self.metrics.counter(f"session.{sid}.dropped_crash").inc(lost)
-                    self.metrics.counter("fleet.dropped_crash").inc(lost)
-                    session = self._sessions.get(sid)
-                    if session is not None:
-                        session._emit(FrameDropEvent(sid, session.time_s, lost, where="crash"))
-                # Replacement workers count consumed frames from zero:
-                # credit everything up to the crash as this epoch's base.
-                self._consumed_base[sid] = self._accepted.get(sid, 0)
+            attaching = [sid for sid, w in self._attaching.items() if w is worker]
             # Fail any call waiting on the corpse.
             for sid, pending_worker in list(self._pending_detach.items()):
                 if pending_worker is worker:
@@ -489,23 +516,58 @@ class ShardedFleet:
                     self._pending_detach.pop(sid)
             self.metrics.counter("fleet.shard_crashes").inc()
             if self._respawns >= _MAX_RESPAWNS:
+                self._settle(homed, {})
                 self._pool = [w for w in self._pool if w is not worker]
                 for sid in homed:
                     self._assign.pop(sid, None)
+                for sid in attaching:
+                    self._attaching.pop(sid, None)
                 self._cond.notify_all()
                 worker.close()
                 return
             self._respawns += 1
             replacement = self._spawn_worker(mp_context())
+            # Attaches first: no carried frame may reach the new ring
+            # ahead of its session's AttachMsg.
+            for sid in homed + attaching:
+                replacement.send(
+                    self._attach_msg(self._sessions[sid], self._index_of[sid])
+                )
+            # The dead ring's backlog is intact (the parent owns the
+            # segment): carry it over instead of charging it to the crash.
+            sid_of = {self._index_of[sid]: sid for sid in homed}
+            carried: dict[str, int] = {}
+            for index, slot in worker.ring.unconsumed():
+                sid = sid_of.get(index)
+                if sid is not None and replacement.ring.push(slot):
+                    carried[sid] = carried.get(sid, 0) + 1
+            self._settle(homed, carried)
             self._pool = [replacement if w is worker else w for w in self._pool]
             for sid in homed:
                 self._assign[sid] = replacement
-            attach_msgs = [
-                self._attach_msg(self._sessions[sid], self._index_of[sid])
-                for sid in homed
-                if sid in self._sessions
-            ]
+            for sid in attaching:
+                self._attaching[sid] = replacement
             self._cond.notify_all()
-        for msg in attach_msgs:
-            replacement.send(msg)
         worker.close()
+
+    def _settle(  # reprolint: guarded-by(_cond)
+        self, homed: list[str], carried: dict[str, int]
+    ) -> None:
+        """Charge a dead shard's unreported frames to ``dropped_crash``.
+
+        Every accepted frame is either reported consumed, carried onto
+        the replacement's ring, or lost: taken off the dead ring by a
+        worker that died before reporting it (at most one tick).
+        """
+        for sid in homed:
+            settled = self._accepted[sid] - carried.get(sid, 0)
+            lost = settled - self._consumed[sid]
+            if lost > 0:
+                self.metrics.counter(f"session.{sid}.dropped_crash").inc(lost)
+                self.metrics.counter("fleet.dropped_crash").inc(lost)
+                session = self._sessions.get(sid)
+                if session is not None:
+                    session._emit(FrameDropEvent(sid, session.time_s, lost, where="crash"))
+            # Replacement workers count consumed frames from zero, the
+            # carried ones first: everything before them is settled.
+            self._consumed[sid] = self._consumed_base[sid] = settled

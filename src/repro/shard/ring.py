@@ -8,21 +8,25 @@ producer, ``head`` (slots consumed) owned by the consumer — over a
 fixed array of equal-sized slots. Each side writes only its own counter,
 so no locks cross the process boundary.
 
-Byte layout of the shared segment (all integers little-endian)::
+Byte layout of the shared segment::
 
     0    magic "SRNG" | version u16 | reserved u16
-         | n_slots u64 | slot_bytes u64                 (24 B used)
+         | n_slots u64 | slot_bytes u64      (24 B used, little-endian)
     64   head u64   — consumer cursor (slots consumed)
     128  tail u64   — producer cursor (slots published)
     192  drops u64  — producer count of frames shed ring-full
     256  slot[0] ... slot[n_slots-1]
 
 The counters sit on their own 64-byte lines so the producer's tail
-stores and the consumer's head stores never share a cache line. An
-aligned 8-byte store is atomic on every platform CPython runs on, and
-each counter has a single writer, so torn reads cannot occur; the
-publish order (slot bytes first, counter second) is preserved because
-each store is a separate C-level ``memcpy`` issued by the interpreter.
+stores and the consumer's head stores never share a cache line. They
+are native-endian and read and written through a ``memoryview`` cast to
+``"Q"``, so every access is one aligned 8-byte load or store — atomic on
+every platform CPython runs on. (``struct.pack_into`` would zero-fill
+the field and then store it byte by byte, and a reader in the other
+process could see the torn value.) Both ends share one host, so native
+byte order is the same on both sides. Each counter has a single writer,
+and the publish order (slot bytes first, counter second) is preserved
+because each store is a separate C-level copy issued by the interpreter.
 
 Slot content reuses the ``.rst`` chunk framing from
 :mod:`repro.store.format` — the wire format the rest of the repo already
@@ -62,15 +66,19 @@ from repro.store.format import (
 __all__ = ["RingFrame", "ShmRing", "encode_slot"]
 
 _MAGIC = b"SRNG"
-_VERSION = 1
+_VERSION = 2
 _META = struct.Struct("<4sHHQQ")
-_U64 = struct.Struct("<Q")
 _ROUTE = struct.Struct("<IIB7xd")
 
 _HEAD_OFF = 64
 _TAIL_OFF = 128
 _DROPS_OFF = 192
 _SLOTS_OFF = 256
+
+#: Counter indices into the header viewed as native u64 words.
+_HEAD = _HEAD_OFF // 8
+_TAIL = _TAIL_OFF // 8
+_DROPS = _DROPS_OFF // 8
 
 _ROUTE_SIZE = _ROUTE.size  # 24
 _BLOCK_OFF = _ROUTE_SIZE  # block header follows the route prefix
@@ -159,6 +167,8 @@ class ShmRing:
             raise StoreFormatError(f"unsupported ring version {version}")
         self.n_slots = int(n_slots)
         self.slot_bytes = int(slot_bytes)
+        #: The counter lines as aligned native u64 words (see module doc).
+        self._words = shm.buf[:_SLOTS_OFF].cast("Q")
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -173,9 +183,10 @@ class ShmRing:
         size = _SLOTS_OFF + slots * slot_bytes
         shm = shared_memory.SharedMemory(name=name, create=True, size=size)
         _META.pack_into(shm.buf, 0, _MAGIC, _VERSION, 0, slots, slot_bytes)
-        for off in (_HEAD_OFF, _TAIL_OFF, _DROPS_OFF):
-            _U64.pack_into(shm.buf, off, 0)
-        return cls(shm, owner=True)
+        ring = cls(shm, owner=True)
+        for word in (_HEAD, _TAIL, _DROPS):
+            ring._words[word] = 0
+        return ring
 
     @classmethod
     def attach(cls, name: str) -> "ShmRing":
@@ -188,24 +199,23 @@ class ShmRing:
         return self._shm.name
 
     # ---------------------------------------------------------------- counters
-    def _read(self, off: int) -> int:
-        value: int = _U64.unpack_from(self._shm.buf, off)[0]
-        return value
-
     @property
     def head(self) -> int:
         """Slots consumed (consumer-owned counter)."""
-        return self._read(_HEAD_OFF)
+        head: int = self._words[_HEAD]
+        return head
 
     @property
     def tail(self) -> int:
         """Slots published (producer-owned counter)."""
-        return self._read(_TAIL_OFF)
+        tail: int = self._words[_TAIL]
+        return tail
 
     @property
     def drops(self) -> int:
         """Frames shed because the ring was full (producer-owned)."""
-        return self._read(_DROPS_OFF)
+        drops: int = self._words[_DROPS]
+        return drops
 
     @property
     def size(self) -> int:
@@ -224,16 +234,19 @@ class ShmRing:
         """
         if len(slot) > self.slot_bytes:
             raise ValueError(f"slot of {len(slot)} bytes exceeds slot_bytes={self.slot_bytes}")
-        buf = self._shm.buf
-        tail = self._read(_TAIL_OFF)
-        if tail - self._read(_HEAD_OFF) >= self.n_slots:
-            _U64.pack_into(buf, _DROPS_OFF, self._read(_DROPS_OFF) + 1)
+        words = self._words
+        tail: int = words[_TAIL]
+        if tail - words[_HEAD] >= self.n_slots:
+            words[_DROPS] += 1
             return False
-        off = _SLOTS_OFF + (tail % self.n_slots) * self.slot_bytes
-        buf[off : off + len(slot)] = slot
+        off = self._slot_off(tail)
+        self._shm.buf[off : off + len(slot)] = slot
         # Publish after the slot bytes are in place (single-writer u64).
-        _U64.pack_into(buf, _TAIL_OFF, tail + 1)
+        words[_TAIL] = tail + 1
         return True
+
+    def _slot_off(self, seq: int) -> int:
+        return _SLOTS_OFF + (seq % self.n_slots) * self.slot_bytes
 
     # ---------------------------------------------------------------- consumer
     def peek(self, max_items: int) -> list[RingFrame]:
@@ -244,12 +257,12 @@ class ShmRing:
         A checksum mismatch raises :class:`StoreIntegrityError` — a slot
         the producer published is never silently skipped.
         """
-        head = self._read(_HEAD_OFF)
-        avail = min(self._read(_TAIL_OFF) - head, max_items)
+        head = self.head
+        avail = min(self.tail - head, max_items)
         out: list[RingFrame] = []
         buf = self._shm.buf
         for k in range(avail):
-            off = _SLOTS_OFF + ((head + k) % self.n_slots) * self.slot_bytes
+            off = self._slot_off(head + k)
             session_index, generation, code, enqueued_at = _ROUTE.unpack_from(buf, off)
             header = unpack_block_header(
                 bytes(buf[off + _BLOCK_OFF : off + _PAYLOAD_OFF])
@@ -274,7 +287,23 @@ class ShmRing:
         if n < 0:
             raise ValueError(f"cannot advance by {n}")
         if n:
-            _U64.pack_into(self._shm.buf, _HEAD_OFF, self._read(_HEAD_OFF) + n)
+            self._words[_HEAD] += n
+
+    def unconsumed(self) -> list[tuple[int, bytes]]:
+        """``(session_index, slot bytes)`` of every published slot the
+        consumer has not advanced past, oldest first.
+
+        For the producer side once the consumer is gone: a crashed
+        worker's backlog is still intact in the segment, and the fleet
+        moves it onto the replacement's ring with :meth:`push`.
+        """
+        buf = self._shm.buf
+        out: list[tuple[int, bytes]] = []
+        for seq in range(self.head, self.tail):
+            off = self._slot_off(seq)
+            slot = bytes(buf[off : off + self.slot_bytes])
+            out.append((_ROUTE.unpack_from(slot)[0], slot))
+        return out
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -282,6 +311,7 @@ class ShmRing:
         if self._closed:
             return
         self._closed = True
+        self._words.release()
         self._shm.close()
 
     def unlink(self) -> None:

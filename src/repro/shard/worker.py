@@ -2,11 +2,16 @@
 
 The worker process owns a shard of sessions. Its loop is a tick:
 
-1. Drain the control pipe (attach/detach/stop must order ahead of the
-   frames they govern).
-2. Drain up to a tick's worth of ring slots, group the frames by
-   session, run **one fused stage-1 kernel launch** over every session's
-   rows at once (the cross-session row-matrix batching of
+1. Snapshot up to a tick's worth of ring slots, *then* drain the control
+   pipe. The parent sends a session's :class:`AttachMsg` before it
+   pushes any of that session's frames, so every frame in the snapshot
+   has its attach already in the pipe, and the drain reads it before
+   the frame is routed. (Draining first and peeking second would let a
+   frame pushed in between arrive ahead of its attach.) Detach and stop
+   requests run after the tick's frames.
+2. Group the snapshot's frames by session, run **one fused stage-1
+   kernel launch** over every session's rows at once (the
+   cross-session row-matrix batching of
    :class:`~repro.core.batched.BatchedPipeline`), then run each
    session's stateful walk over its slice via the inherited
    :meth:`~repro.fleet.session.DetectorSession.process_batch` — the same
@@ -31,6 +36,7 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import deque
 from multiprocessing.connection import Connection
 from typing import Any
 
@@ -127,6 +133,8 @@ class _WorkerState:
         self.consumed: dict[str, int] = {}
         self.shipped_frames: dict[str, int] = {}
         self.shipped_restarts: dict[str, int] = {}
+        #: Detach/stop requests read off the pipe, run after the tick.
+        self.requests: deque[DetachMsg | StopMsg] = deque()
 
     def attach(self, msg: AttachMsg) -> None:
         session = _ShardSession(
@@ -175,9 +183,21 @@ class _WorkerState:
         )
 
 
-def _drain_tick(ring: ShmRing, state: _WorkerState) -> int:
-    """Drain one tick of ring slots through the detectors; slots consumed."""
+def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:
+    """One pass of the worker loop; returns the ring slots consumed.
+
+    The ring snapshot is taken before the control pipe is read (see the
+    module docstring): attaches apply at once, so every frame in the
+    snapshot routes to its session; detach/stop requests queue on
+    ``state.requests`` for the loop to run after the frames.
+    """
     ring_frames = ring.peek(_TICK_MAX)
+    while conn.poll(0):
+        msg = conn.recv()
+        if isinstance(msg, AttachMsg):
+            state.attach(msg)
+        elif isinstance(msg, (DetachMsg, StopMsg)):
+            state.requests.append(msg)
     if not ring_frames:
         return 0
     groups: dict[int, list[RingFrame]] = {}
@@ -259,12 +279,11 @@ def shard_worker_main(conn: Connection, ring_name: str) -> None:
         conn.send(ReadyMsg(pid=os.getpid()))
         last_beat = time.monotonic()
         while True:
-            while conn.poll(0):
-                msg = conn.recv()
-                if isinstance(msg, AttachMsg):
-                    state.attach(msg)
-                elif isinstance(msg, DetachMsg):
-                    while _drain_tick(ring, state):
+            worked = _tick(ring, conn, state)
+            while state.requests:
+                msg = state.requests.popleft()
+                if isinstance(msg, DetachMsg):
+                    while _tick(ring, conn, state):
                         pass
                     session = state.by_id.get(msg.session_id)
                     if session is not None:
@@ -285,9 +304,8 @@ def shard_worker_main(conn: Connection, ring_name: str) -> None:
                         state.shipped_frames.pop(msg.session_id, None)
                         state.shipped_restarts.pop(msg.session_id, None)
                     conn.send(DetachAck(msg.session_id, final))
-                elif isinstance(msg, StopMsg):
+                else:
                     stopping = True
-            worked = _drain_tick(ring, state)
             now = time.monotonic()
             if worked or now - last_beat >= _HEARTBEAT_S:
                 conn.send(state.report())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.preprocess import Preprocessor, PreprocessorConfig
 
@@ -93,3 +95,20 @@ class TestStreamingEquivalence:
     def test_apply_rejects_1d(self):
         with pytest.raises(ValueError):
             Preprocessor().apply(np.ones(10))
+
+
+class TestDenoiseBlockShape:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        r=st.integers(min_value=16, max_value=96),
+        complex_valued=st.booleans(),
+    )
+    def test_denoise_block_keeps_shape_and_dtype(self, n, r, complex_valued):
+        """(N, R) frames in, (N, R) denoised rows out, complexity kept."""
+        rows = np.linspace(-1.0, 1.0, n * r).reshape(n, r)
+        if complex_valued:
+            rows = rows * (1.0 + 0.5j)
+        result = Preprocessor().denoise_block(rows)
+        assert result.shape == rows.shape
+        assert np.iscomplexobj(result) == np.iscomplexobj(rows)

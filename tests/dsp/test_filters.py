@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from repro.dsp.filters import (
     CascadingFilter,
+    FilterScratch,
     LoopbackFilter,
     design_lowpass_fir,
     fir_filter,
+    fir_filter_rows,
     moving_average,
     smooth,
 )
@@ -203,3 +205,36 @@ class TestLoopbackFilter:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError):
             LoopbackFilter(alpha=alpha)
+
+
+@st.composite
+def _row_blocks(draw):
+    """An (N, R) row block, real or complex, for the batched kernels."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    r = draw(st.integers(min_value=16, max_value=96))
+    base = np.linspace(-1.0, 1.0, n * r).reshape(n, r)
+    return base * (1.0 + 0.5j) if draw(st.booleans()) else base
+
+
+class TestBatchedKernelShapes:
+    """The batched row kernels map (N, R) rows to (N, R) rows and never
+    drop the imaginary half of complex input."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=_row_blocks(), t=st.integers(min_value=1, max_value=7))
+    def test_fir_filter_rows_keeps_shape_and_dtype(self, rows, t):
+        taps = np.hamming(2 * t + 1)
+        taps /= taps.sum()
+        result = fir_filter_rows(rows, taps, FilterScratch())
+        assert result.shape == rows.shape
+        assert np.iscomplexobj(result) == np.iscomplexobj(rows)
+
+        out = np.empty_like(rows)
+        assert fir_filter_rows(rows, taps, FilterScratch(), out=out) is out
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=_row_blocks())
+    def test_apply_rows_keeps_shape_and_dtype(self, rows):
+        result = CascadingFilter(fir_order=6, smooth_window=4).apply_rows(rows)
+        assert result.shape == rows.shape
+        assert np.iscomplexobj(result) == np.iscomplexobj(rows)

@@ -27,20 +27,6 @@ def _project(**modules: str) -> Project:
 
 
 class TestExtraction:
-    def test_call_facts_record_await_and_discard(self):
-        facts = _facts(
-            "import asyncio\n"
-            "async def f():\n"
-            "    await asyncio.sleep(1)\n"
-            "    helper()\n"
-            "    x = helper()\n"
-        )
-        calls = {".".join(c.parts): c for c in facts.functions["f"].calls}
-        assert calls["asyncio.sleep"].awaited
-        assert not calls["asyncio.sleep"].discarded
-        discarded = [c for c in facts.functions["f"].calls if c.discarded]
-        assert len(discarded) == 1 and discarded[0].parts == ("helper",)
-
     def test_calls_are_in_source_order(self):
         facts = _facts("def f():\n    a()\n    b()\n    c()\n")
         assert [c.parts[0] for c in facts.functions["f"].calls] == ["a", "b", "c"]

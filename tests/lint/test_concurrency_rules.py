@@ -85,171 +85,3 @@ class TestBlockingInAsync:
             "blocking-in-async",
         )
         assert diags == []
-
-
-class TestUnawaitedCoroutine:
-    def test_discarded_coroutine_fires(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "async def work():\n    pass\nasync def f():\n    work()\n",
-            "unawaited-coroutine",
-        )
-        assert [d.rule for d in diags] == ["unawaited-coroutine"]
-        assert diags[0].line == 4
-
-    def test_awaited_call_is_a_near_miss(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "async def work():\n    pass\nasync def f():\n    await work()\n",
-            "unawaited-coroutine",
-        )
-        assert diags == []
-
-    def test_assigned_coroutine_is_a_near_miss(self, tmp_path):
-        # The handle may be awaited/gathered later; only the dropped
-        # call is certain to be a bug.
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "async def work():\n    pass\n"
-            "async def f():\n"
-            "    coro = work()\n"
-            "    await asyncio.wait_for(coro, 1)\n",
-            "unawaited-coroutine",
-        )
-        assert diags == []
-
-    def test_discarded_sync_call_is_a_near_miss(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "def work():\n    pass\nasync def f():\n    work()\n",
-            "unawaited-coroutine",
-        )
-        assert diags == []
-
-
-class TestLockAcrossAwait:
-    def test_threading_lock_attr_held_across_await_fires(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio, threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    async def go(self):\n"
-            "        with self._lock:\n"
-            "            await asyncio.sleep(1)\n",
-            "lock-across-await",
-        )
-        assert [d.rule for d in diags] == ["lock-across-await"]
-        assert "threading.Lock" in diags[0].message
-
-    def test_local_condition_from_import_fires(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "from threading import Condition\n"
-            "async def go():\n"
-            "    cond = Condition()\n"
-            "    with cond:\n"
-            "        await asyncio.sleep(1)\n",
-            "lock-across-await",
-        )
-        assert [d.rule for d in diags] == ["lock-across-await"]
-
-    def test_lock_without_await_in_body_is_a_near_miss(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio, threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    async def go(self):\n"
-            "        with self._lock:\n"
-            "            x = 1\n"
-            "        await asyncio.sleep(x)\n",
-            "lock-across-await",
-        )
-        assert diags == []
-
-    def test_non_lock_context_manager_is_a_near_miss(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "async def go(path):\n"
-            "    with open(path) as fh:\n"  # blocking, but not a *lock*
-            "        await asyncio.sleep(1)\n",
-            "lock-across-await",
-        )
-        assert diags == []
-
-
-class TestTaskLeak:
-    def test_discarded_spawn_fires(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "async def work():\n    pass\n"
-            "async def f():\n"
-            "    asyncio.create_task(work())\n",
-            "task-leak",
-        )
-        assert [d.rule for d in diags] == ["task-leak"]
-
-    def test_leak_on_one_path_fires(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "async def work():\n    pass\n"
-            "async def f(cond):\n"
-            "    t = asyncio.create_task(work())\n"
-            "    if cond:\n"
-            "        return None\n"  # the task handle is dropped here
-            "    return await t\n",
-            "task-leak",
-        )
-        assert [d.rule for d in diags] == ["task-leak"]
-        assert "'t'" in diags[0].message
-
-    def test_cancel_in_finally_is_a_near_miss(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "async def work():\n    pass\n"
-            "async def f():\n"
-            "    t = asyncio.create_task(work())\n"
-            "    try:\n"
-            "        await asyncio.sleep(1)\n"
-            "    finally:\n"
-            "        t.cancel()\n",
-            "task-leak",
-        )
-        assert diags == []
-
-    def test_awaited_task_is_a_near_miss(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "async def work():\n    pass\n"
-            "async def f():\n"
-            "    t = asyncio.create_task(work())\n"
-            "    await t\n",
-            "task-leak",
-        )
-        assert diags == []
-
-    def test_stored_or_gathered_task_is_a_near_miss(self, tmp_path):
-        diags = _run(
-            tmp_path,
-            "import asyncio\n"
-            "async def work():\n    pass\n"
-            "class Owner:\n"
-            "    async def start(self):\n"
-            "        self._t = asyncio.create_task(work())\n"
-            "async def f():\n"
-            "    a = asyncio.create_task(work())\n"
-            "    b = asyncio.create_task(work())\n"
-            "    await asyncio.gather(a, b)\n",
-            "task-leak",
-        )
-        assert diags == []

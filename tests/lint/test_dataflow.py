@@ -1,4 +1,4 @@
-"""Solver and analysis-instance tests on small, hand-checkable CFGs."""
+"""Def/use extraction and solver tests on small, hand-checkable CFGs."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import ast
 import textwrap
 
 from repro.lint.cfg import build_cfg, iter_functions
-from repro.lint.dataflow import (
-    Liveness,
-    MovedNames,
-    ReachingDefinitions,
-    element_defs_uses,
-    solve,
-)
+from repro.lint.dataflow import element_defs_uses, solve
 
 
 def _cfg(source: str, name: str = "f"):
@@ -57,129 +51,8 @@ class TestDefsUses:
         assert defs == {"h"} and "x" in uses
 
 
-class TestReachingDefinitions:
-    def test_branches_merge_definition_sites(self):
-        cfg = _cfg(
-            """
-            def f(c):
-                if c:
-                    y = 1
-                else:
-                    y = 2
-                return y
-            """
-        )
-        analysis = ReachingDefinitions(cfg)
-        solution = solve(cfg, analysis)
-        ret_block = next(
-            b for b in cfg.blocks if any(isinstance(e, ast.Return) for e in b.elements)
-        )
-        state = solution.inputs[ret_block.index]
-        sites = state["y"]
-        assert len(sites) == 2  # both arms reach the join
-        values = {
-            analysis.element_at(site).value.value for site in sites  # type: ignore[union-attr]
-        }
-        assert values == {1, 2}
-
-    def test_rebinding_is_a_strong_update(self):
-        cfg = _cfg(
-            """
-            def f():
-                y = 1
-                y = 2
-                return y
-            """
-        )
-        analysis = ReachingDefinitions(cfg)
-        solution = solve(cfg, analysis)
-        state = solution.outputs[cfg.exit] or solution.inputs[cfg.exit]
-        sites = state["y"]
-        assert len(sites) == 1
-        element = analysis.element_at(next(iter(sites)))
-        assert isinstance(element, ast.Assign) and element.value.value == 2  # type: ignore[union-attr]
-
-
-class TestLiveness:
-    def test_dead_store_is_not_live(self):
-        cfg = _cfg(
-            """
-            def f(x):
-                y = x
-                y = x + 1
-                return y
-            """
-        )
-        solution = solve(cfg, Liveness())
-        block = next(
-            b for b in cfg.blocks if any(isinstance(e, ast.Assign) for e in b.elements)
-        )
-        states = solution.element_states(block.index)
-        first_assign_index = next(
-            i for i, e in enumerate(block.elements) if isinstance(e, ast.Assign)
-        )
-        assert "y" not in states[first_assign_index]
-
-    def test_loop_carried_value_stays_live(self):
-        cfg = _cfg(
-            """
-            def f(n):
-                i = 0
-                while i < n:
-                    i = i + 1
-                return i
-            """
-        )
-        solution = solve(cfg, Liveness())
-        for block in cfg.blocks:
-            for element, live_after in zip(block.elements, solution.element_states(block.index)):
-                if isinstance(element, ast.Assign):
-                    assert "i" in live_after  # read by the loop test or return
-
-    def test_closure_names_live_at_exit(self):
-        cfg = _cfg(
-            """
-            def f(x):
-                acc = 0
-                def g():
-                    return acc
-                return g
-            """
-        )
-        solution = solve(cfg, Liveness())
-        assert "acc" in solution.inputs[cfg.exit]
-
-
-class TestMovedNames:
-    def test_move_then_rebind_clears(self):
-        cfg = _cfg(
-            """
-            def f(pool, make):
-                t = make()
-                pool.adopt(t)
-                t = make()
-                t.check()
-            """
-        )
-        solution = solve(cfg, MovedNames({3: ("t",)}))
-        # After the rebinding on line 4 the pair is gone everywhere later.
-        final = solution.inputs[cfg.exit]
-        assert final == frozenset()
-
-    def test_move_reaches_exit_without_rebind(self):
-        cfg = _cfg(
-            """
-            def f(pool, make):
-                t = make()
-                pool.adopt(t)
-            """
-        )
-        solution = solve(cfg, MovedNames({3: ("t",)}))
-        assert ("t", 3) in solution.inputs[cfg.exit]
-
-
 class TestSolverBookkeeping:
-    def test_converges_with_tight_cap_reported(self):
+    def test_converges_with_tight_cap_reported(self, bound_names):
         cfg = _cfg(
             """
             def f(n):
@@ -189,7 +62,8 @@ class TestSolverBookkeeping:
                 return i
             """
         )
-        full = solve(cfg, ReachingDefinitions(cfg))
+        full = solve(cfg, bound_names())
         assert full.converged and full.steps > 0
-        starved = solve(cfg, ReachingDefinitions(cfg), max_steps=1)
+        assert full.inputs[cfg.exit] == {"n", "i"}
+        starved = solve(cfg, bound_names(), max_steps=1)
         assert not starved.converged

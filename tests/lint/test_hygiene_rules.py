@@ -1,4 +1,4 @@
-"""API-hygiene rules: mutable defaults, excepts, asserts, or-defaults."""
+"""API-hygiene rules: mutable defaults, excepts, or-defaults."""
 
 from __future__ import annotations
 
@@ -99,33 +99,6 @@ class TestExceptHygiene:
                         return 0
                 """,
                 rel=_REL,
-            )
-            == []
-        )
-
-
-class TestNoAssert:
-    def test_assert_in_package_flagged(self, linter):
-        names = linter.rule_names(
-            """
-            def f(x):
-                assert x > 0
-                return x
-            """,
-            rel=_REL,
-        )
-        assert names == ["no-assert"]
-
-    def test_assert_outside_package_ignored(self, linter):
-        # Test files (no repro/ component) may assert freely.
-        assert (
-            linter.rule_names(
-                """
-                def f(x):
-                    assert x > 0
-                    return x
-                """,
-                rel="tests/test_thing.py",
             )
             == []
         )

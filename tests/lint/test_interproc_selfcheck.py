@@ -32,38 +32,3 @@ def test_whole_src_call_graph_is_substantially_internal():
     # package-internal definitions and everything degrades to dynamic.
     assert stats.get("internal", 0) > 500
     assert stats.get("internal-ctor", 0) > 50
-
-
-def test_whole_src_has_zero_unresolved_array_facts():
-    """Every shape pragma / docstring Shape: block in our tree parses.
-
-    A malformed or conflicting contract does not fail the lint run (the
-    facts layer just records it), so this is the gate that keeps the
-    annotation surface itself honest.
-    """
-    project = build_project(
-        discover_files([REPO_SRC]), REPO_SRC.parent.parent, None
-    )
-    broken = {
-        f"{mod.dotted}.{qual}": fn.array_unresolved
-        for mod in project.project.modules.values()
-        for qual, fn in mod.functions.items()
-        if fn.array_unresolved
-    }
-    assert broken == {}
-
-
-def test_whole_src_hotpath_functions_all_carry_contracts():
-    """The CI census gate, asserted natively: every hotpath-marked
-    function declares or inherits an array contract (params or return)."""
-    project = build_project(
-        discover_files([REPO_SRC]), REPO_SRC.parent.parent, None
-    )
-    hot = [s for s in project.summaries.values() if s.hotpath]
-    assert hot, "the hotpath pragma vanished from the tree"
-    uncovered = [
-        s.qualname
-        for s in hot
-        if not s.array_params and s.returns_array is None
-    ]
-    assert uncovered == []

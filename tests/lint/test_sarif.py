@@ -151,7 +151,7 @@ class TestSarifOutput:
         ids = {rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]}
         expected = {rule.name for rule in all_rules()}
         assert ids == expected
-        assert {"rng-reseed", "resource-leak", "dead-store"} <= ids
+        assert {"wall-clock", "resource-leak", "blocking-in-async"} <= ids
 
     def test_rule_index_points_at_the_right_rule(self):
         log = json.loads(render_sarif(_result_with(_sample_diagnostics()), all_rules()))

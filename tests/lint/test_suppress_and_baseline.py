@@ -72,7 +72,7 @@ class TestInlineSuppression:
             import time
 
             def f():
-                return time.time()  # reprolint: disable=no-assert
+                return time.time()  # reprolint: disable=or-default
             """,
             rel="repro/sim/clock.py",
         )
@@ -107,9 +107,9 @@ class TestBaseline:
     def test_new_findings_still_fail(self, linter):
         result = linter.lint(_DIRTY, rel="repro/sim/clock.py")
         baseline = Baseline.from_diagnostics(result.diagnostics)
-        dirtier = _DIRTY + "\n\ndef g():\n    assert True\n"
+        dirtier = _DIRTY + "\n\ndef g(x=None):\n    return x or 1\n"
         rerun = linter.lint(dirtier, rel="repro/sim/clock.py", baseline=baseline)
-        assert [d.rule for d in rerun.diagnostics] == ["no-assert"]
+        assert [d.rule for d in rerun.diagnostics] == ["or-default"]
         assert rerun.baselined == 1
 
     def test_fixed_finding_goes_stale(self, linter):

@@ -1,11 +1,18 @@
 """ShmRing: slot framing, SPSC counters, backpressure, integrity.
 
-Pure in-process tests — both ends of the ring are exercised from one
+Mostly in-process tests — both ends of the ring are exercised from one
 process, which is legal (the SPSC contract is about *roles*, one
-producer and one consumer, not about process count).
+producer and one consumer, not about process count). The counter test
+puts the producer in a second process, where torn reads would show.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +166,51 @@ class TestGeometry:
         # The owning context exit unlinked the segment: gone for good.
         with pytest.raises(FileNotFoundError):
             ShmRing.attach(name)
+
+
+_PRODUCER = """
+import sys
+from multiprocessing import resource_tracker
+import numpy as np
+from repro.shard.ring import ShmRing, encode_slot
+
+ring = ShmRing.attach(sys.argv[1])
+# The segment belongs to the test process; this one must not unlink it.
+resource_tracker.unregister("/" + sys.argv[1], "shared_memory")
+slot = encode_slot(0, 1, 0.0, 0.0, np.zeros(8, dtype=np.complex128))
+while True:  # fills the ring, then bumps the drops word until killed
+    ring.push(slot)
+"""
+
+
+class TestCrossProcessCounters:
+    def test_counters_never_read_torn_from_another_process(self):
+        """One process bumps the counter words as fast as it can while
+        this one reads them: a counter that only grows must never be
+        seen going backwards (a torn, partly written value)."""
+        ring = ShmRing.create(64, slot_bytes_for(8))
+        producer = subprocess.Popen(
+            [sys.executable, "-c", _PRODUCER, ring.name],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")},
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while ring.drops == 0:
+                assert producer.poll() is None, "producer died"
+                assert time.monotonic() < deadline, "producer never started"
+            backward = reads = 0
+            last_tail, last_drops = ring.tail, ring.drops
+            stop = time.monotonic() + 0.5
+            while time.monotonic() < stop:
+                for _ in range(1000):
+                    tail, drops = ring.tail, ring.drops
+                    backward += (tail < last_tail) + (drops < last_drops)
+                    last_tail, last_drops = tail, drops
+                reads += 2000
+        finally:
+            producer.kill()
+            producer.wait()
+            ring.close()
+            ring.unlink()
+        assert backward == 0, f"{backward} backward reads out of {reads}"
+        assert last_tail == 64 and last_drops > 0

@@ -1,0 +1,75 @@
+"""The shard worker loop, one pass at a time, in-process.
+
+No worker process and no sleeps: the pipe and the ring are driven by
+hand, so the interleaving under test is constructed, not raced.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+
+import numpy as np
+
+from repro.fleet.session import SessionConfig
+from repro.shard.messages import AttachMsg
+from repro.shard.ring import ShmRing, encode_slot, slot_bytes_for
+from repro.shard.worker import _tick, _WorkerState
+
+_N_BINS = 16
+
+
+class _ParentActsBeforeSnapshot:
+    """Ring proxy: the parent's attach-then-push lands the instant before
+    the worker snapshots the ring, i.e. after anything the worker did
+    earlier in the same pass."""
+
+    def __init__(self, ring: ShmRing, act) -> None:
+        self._ring = ring
+        self._act = act
+
+    def peek(self, max_items: int):
+        if self._act is not None:
+            self._act()
+            self._act = None
+        return self._ring.peek(max_items)
+
+    def advance(self, n: int) -> None:
+        self._ring.advance(n)
+
+
+def test_frames_queued_behind_an_unread_attach_are_routed():
+    """The parent sends a session's AttachMsg, then pushes its frames;
+    in the worker pass that first sees the frames, the attach is still
+    unread in the pipe. The pass must route them to the session, not
+    count them unrouted."""
+    parent, child = multiprocessing.Pipe()
+    ring = ShmRing.create(8, slot_bytes_for(_N_BINS))
+    state = _WorkerState()
+    frame = np.ones(_N_BINS, dtype=np.complex64)
+
+    def attach_then_push() -> None:
+        parent.send(
+            AttachMsg(
+                session_index=3,
+                session_id="s",
+                n_bins=_N_BINS,
+                frame_rate_hz=25.0,
+                config=SessionConfig(),
+            )
+        )
+        for k in range(5):
+            assert ring.push(encode_slot(3, 1, 0.0, k / 25.0, frame))
+
+    try:
+        consumed = _tick(_ParentActsBeforeSnapshot(ring, attach_then_push), child, state)
+
+        assert consumed == 5
+        assert state.registry.counter("shard.unrouted_frames").value == 0
+        assert state.consumed == {"s": 5}
+        assert state.by_id["s"].frames_processed == 5
+        assert ring.size == 0
+    finally:
+        parent.close()
+        child.close()
+        ring.close()
+        ring.unlink()

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +36,25 @@ class TestParser:
         assert args.workers == 4
         assert args.queue_depth == 4096
         assert args.fault_at is None
+
+    def test_gateway_serve_does_not_load_the_linter(self):
+        # A fresh interpreter: this test process has long imported it.
+        probe = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "args = build_parser().parse_args(['gateway', 'serve'])\n"
+            "assert args.command == 'gateway'\n"
+            "print([m for m in sys.modules if m.startswith('repro.lint')])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCommands:

@@ -6,8 +6,10 @@ Two phases, both run for real (worker processes, shared-memory rings):
    sessions; one worker is SIGKILLed mid-stream. The check gates on the
    shard loss contract: the fleet drains without hanging, exactly one
    shard crash is counted, sessions on surviving shards lose nothing,
-   and every session's accounting conserves
-   ``processed + crash_lost == accepted``. Re-homed sessions must keep
+   every session's accounting conserves
+   ``processed + crash_lost == accepted``, and a victim loses at most
+   one worker tick (the frames it took but never reported). Re-homed
+   sessions must keep
    processing after the crash (the replacement shard does real work).
 2. **Gateway end-to-end over the sharded backend.** Reuses the
    gateway-smoke gates (zero loss below the backpressure threshold,
@@ -36,6 +38,7 @@ import numpy as np  # noqa: E402
 from repro.fleet.events import FrameDropEvent  # noqa: E402
 from repro.gateway.ingest import IngestSession  # noqa: E402
 from repro.shard.fleet import ShardedFleet  # noqa: E402
+from repro.shard.worker import _TICK_MAX  # noqa: E402
 
 import gateway_smoke  # noqa: E402
 
@@ -76,15 +79,10 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
         kill_at = args.frames // 3
         for k in range(args.frames):
             if k == kill_at:
-                victim = fleet._pool[0]
-                victim_sids = [
-                    sid for sid, w in fleet._assign.items() if w is victim
-                ]
-                print(
-                    f"SIGKILL shard {victim.shard_index} (pid {victim.process.pid}) "
-                    f"homing {victim_sids}"
-                )
-                os.kill(victim.process.pid, signal.SIGKILL)
+                victim, victim_sids = min(fleet.shards().items())
+                pid = fleet.shard_pid(victim)
+                print(f"SIGKILL shard {victim} (pid {pid}) homing {victim_sids}")
+                os.kill(pid, signal.SIGKILL)
             for sid, session in sessions.items():
                 if fleet.submit(sid, session.make_item(k / fps, traces[sid][k])):
                     accepted[sid] += 1
@@ -108,6 +106,8 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
                     f"!= accepted {accepted[sid]}"
                 )
             if sid in victim_sids:
+                if lost > _TICK_MAX:
+                    failures.append(f"{sid}: lost {lost} > one tick ({_TICK_MAX})")
                 if session.frames_processed == 0:
                     failures.append(f"{sid}: re-homed session never resumed")
             elif lost != 0:
