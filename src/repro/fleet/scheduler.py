@@ -34,7 +34,10 @@ Two execution modes share the worker pool:
   frames get exactly the pump's treatment — same bounded queues, same
   drop-oldest backpressure, same metrics — and the sessions stay
   *externally owned*: :meth:`stop` drains the queues but never closes
-  an attached session.
+  an attached session. An attach may register a completion hook: after
+  every batch of that session, once the slot's claim is released, the
+  worker calls it, so the caller waits on completions instead of
+  polling :meth:`drained`.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.fleet.events import FrameDropEvent
@@ -62,6 +66,7 @@ class _SessionSlot:
     queue: deque[_QueueEntry] = field(default_factory=deque)
     claimed: bool = False
     dropped: int = 0
+    on_complete: Callable[[], None] | None = None
 
 
 class FleetScheduler:
@@ -196,18 +201,26 @@ class FleetScheduler:
         return bool(dropped_now)
 
     # -------------------------------------------------------- external ingest
-    def attach(self, session: DetectorSession) -> None:
+    def attach(
+        self, session: DetectorSession, on_complete: Callable[[], None] | None = None
+    ) -> None:
         """Register an externally-owned session at runtime (serve mode).
 
         The session's frames are expected through :meth:`submit`; the
         scheduler never calls :meth:`~DetectorSession.produce` or
         :meth:`~DetectorSession.close` on it — production and lifecycle
         stay with the caller (the gateway's connection handler).
+
+        ``on_complete`` is the session's completion hook: a worker calls
+        it after each batch of the session's frames, once the claim is
+        released, so inside it ``frames_processed`` and :meth:`drained`
+        already reflect the batch. It runs on a worker thread, so it
+        must be O(1) and must not block.
         """
         with self._cond:
             if session.session_id in self._by_id:
                 raise ValueError(f"duplicate session id {session.session_id!r}")
-            slot = _SessionSlot(session=session)
+            slot = _SessionSlot(session=session, on_complete=on_complete)
             self._slots.append(slot)
             self._by_id[session.session_id] = slot
 
@@ -322,6 +335,10 @@ class FleetScheduler:
                     slot.claimed = False
                     if slot.queue:
                         self._cond.notify()
+                # Only after the claim is released: a caller the hook
+                # wakes must already see drained() hold.
+                if slot.on_complete is not None:
+                    slot.on_complete()
 
     # -------------------------------------------------------------- inspection
     def queue_depths(self) -> dict[str, int]:

@@ -197,6 +197,9 @@ class DetectorSession:
         self.events: list[FleetEvent] = []
         self.blink_events: list[BlinkEvent] = []
         self.frames_processed = 0
+        #: Accepted frames a serve backend lost to a worker crash (the
+        #: sharded backend's ``session.<id>.dropped_crash``).
+        self.dropped_crash = 0
         self.restarts = 0
 
     # ----------------------------------------------------------------- helpers

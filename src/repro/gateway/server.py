@@ -22,10 +22,14 @@ Operational properties:
   finalized file is registered in the directory's
   :class:`~repro.store.catalog.Catalog` — the gateway doubles as a
   fleet-wide trace collector.
-- **Completion-watermark ACKs.** A per-connection pump acknowledges the
-  highest sequence number that has fully left the pipeline (detected or
-  shed), which is what lets a remote client measure true end-to-end
-  latency without the server timing anything on its behalf.
+- **Completion-watermark ACKs, pushed.** A per-connection pump
+  acknowledges the highest sequence number that has fully left the
+  pipeline (detected or shed), which is what lets a remote client
+  measure true end-to-end latency without the server timing anything on
+  its behalf. The pump sleeps until the completion hook the connection
+  registers at the backend's ``attach`` reports a finished batch; no
+  timer polls the backend, and a DRAIN reply follows the ACK that covers
+  every frame it reports.
 - **Graceful drain.** :meth:`shutdown` (wired to SIGTERM/SIGINT by
   :meth:`run_until_signal`) stops accepting, lets queued frames drain,
   stops the workers, and finalizes every recording.
@@ -64,11 +68,9 @@ __all__ = ["GatewayServer"]
 #: syscall, small enough to keep per-connection memory modest.
 _READ_BYTES = 1 << 16
 
-#: Cadence of the per-connection completion-watermark ack pump.
-_ACK_INTERVAL_S = 0.002
-
-#: Poll cadence while waiting for a session's queue to drain.
-_DRAIN_POLL_S = 0.002
+#: Poll cadence of the shutdown-time wait for every queue to empty
+#: (connections wait on their session's completion hook instead).
+_IDLE_POLL_S = 0.002
 
 #: Read timeout: the cadence at which an idle connection loop checks
 #: the server's draining flag (a graceful shutdown must consume bytes
@@ -108,6 +110,43 @@ class _Connection:
         #: indices, so "nothing done yet" is a plain 0 on an unsigned
         #: wire field).
         self.acked_completed = 0
+        #: ``received_seq`` as of the last ack (``ack_every`` counts
+        #: from here).
+        self.received_acked = -1
+        self._loop = asyncio.get_running_loop()
+        #: Set by every wake-up; see :meth:`next_wake`.
+        self._wake = asyncio.Event()
+        #: Held from a completion hook's call until its wake-up has run
+        #: on the loop, so a burst of completions costs one callback.
+        self._wake_queued = threading.Lock()
+
+    # ---------------------------------------------------------------- wake-up
+    def on_completion(self) -> None:
+        """The session's completion hook; callable from any thread.
+
+        O(1) and never blocks: queues at most one wake-up on the loop,
+        and does nothing once the loop has closed.
+        """
+        if not self._wake_queued.acquire(blocking=False):
+            return  # the queued wake-up reads this batch's accounting too
+        try:
+            self._loop.call_soon_threadsafe(self._woken)
+        except RuntimeError:
+            pass  # loop closed: the connection is gone, nothing waits
+
+    def _woken(self) -> None:
+        self._wake_queued.release()
+        self._wake.set()
+
+    def next_wake(self) -> asyncio.Event:
+        """The event the next wake-up sets.
+
+        Take it *before* reading the state to wait on, then await it: a
+        wake-up landing between the read and the await is not lost.
+        """
+        if self._wake.is_set():
+            self._wake = asyncio.Event()
+        return self._wake
 
     # ------------------------------------------------------------ accounting
     def consumed_frames(self) -> int:
@@ -115,12 +154,13 @@ class _Connection:
 
         Queue order is FIFO with drop-oldest, so consumption always
         takes the *front* of the submit order: the count alone
-        identifies exactly which submitted frames are done.
+        identifies exactly which submitted frames are done. Frames a
+        shard crash lost count as well: they will never be processed.
         """
         session = self.session
         if session is None:
             return 0
-        return session.frames_processed + self.dropped_queue
+        return session.frames_processed + self.dropped_queue + session.dropped_crash
 
     def completion_watermark(self) -> int | None:
         """Wire watermark: one past the seq of the newest finished frame.
@@ -145,6 +185,7 @@ class _Connection:
             "submitted": self.submitted,
             "processed": 0 if session is None else session.frames_processed,
             "dropped_queue": self.dropped_queue,
+            "dropped_crash": 0 if session is None else session.dropped_crash,
             "bad_frames": self.bad_frames,
             "crc_failures": self.decoder.crc_failures,
             "resync_bytes": self.decoder.resync_bytes,
@@ -293,7 +334,7 @@ class GatewayServer:
                 await asyncio.gather(*pending, return_exceptions=True)
         # Let every queued frame reach its detector before the pool stops.
         while not self.scheduler.idle():
-            await asyncio.sleep(_DRAIN_POLL_S)
+            await asyncio.sleep(_IDLE_POLL_S)
         # Stopping the pool joins its worker threads — blocking, so it
         # runs on an executor to keep the loop (health endpoint, other
         # servers in-process) live for the duration.
@@ -402,9 +443,17 @@ class GatewayServer:
             return True
         if isinstance(msg, Frame):
             self._handle_frame(conn, msg)
+            if conn.received_seq - conn.received_acked >= self.ack_every:
+                # Receipt ack: ack_every frames arrived since the last ack.
+                self._write_ack(conn, writer)
+                await writer.drain()
             return True
         if isinstance(msg, Drain):
             await self._wait_drained(conn)
+            # The final completion ack goes out ahead of the reply on
+            # this writer: the client's drain() returns with every
+            # processed or shed frame already covered.
+            self._write_ack(conn, writer)
             writer.write(
                 encode_message(Drain(session=conn.session_index, stats=conn.stats()))
             )
@@ -445,7 +494,7 @@ class GatewayServer:
                 recorder = await asyncio.get_running_loop().run_in_executor(
                     None, self._open_recorder, hello
                 )
-            self.scheduler.attach(session)
+            self.scheduler.attach(session, on_complete=conn.on_completion)
         except BaseException:
             self.sessions.pop(hello.session_id, None)
             session.close()
@@ -493,46 +542,62 @@ class GatewayServer:
         conn.pending_seqs.append(msg.seq)
         if not accepted:
             conn.dropped_queue += 1
+            # A shed frame moves the watermark with no batch finishing.
+            conn.on_completion()
         self.metrics.counter("gateway.frames_received").inc()
 
-    async def _ack_pump(self, conn: _Connection, writer: asyncio.StreamWriter) -> None:
-        """Push completion-watermark acks on a fixed cadence.
+    def _write_ack(self, conn: _Connection, writer: asyncio.StreamWriter) -> bool:
+        """Write an ack if the watermark moved or a receipt ack is due.
 
-        The watermark advances as the worker pool consumes the session's
-        queue; an ack also goes out when the receipt count ran ahead by
-        ``ack_every`` frames so the client's flow-control view never
-        staleness-locks.
+        The receipt ack goes out when the receipt count ran ahead by
+        ``ack_every`` frames, so the client's flow-control view never
+        staleness-locks. Synchronous: a watermark is on the writer the
+        moment it is taken, ahead of anything written after it.
         """
-        last_received_acked = -1
-        while True:
-            await asyncio.sleep(_ACK_INTERVAL_S)
-            if conn.session is None:
-                continue
-            watermark = conn.completion_watermark()
-            overdue = conn.received_seq - last_received_acked >= self.ack_every
-            if watermark is None and not overdue:
-                continue
-            if watermark is not None:
-                conn.acked_completed = max(conn.acked_completed, watermark)
-            last_received_acked = conn.received_seq
-            writer.write(
-                encode_message(
-                    Ack(
-                        session=conn.session_index,
-                        seq=conn.acked_completed,
-                        received_seq=max(conn.received_seq, 0),
-                        processed=conn.session.frames_processed,
-                    )
+        session = conn.session
+        if session is None:
+            return False
+        watermark = conn.completion_watermark()
+        overdue = conn.received_seq - conn.received_acked >= self.ack_every
+        if watermark is None and not overdue:
+            return False
+        if watermark is not None:
+            conn.acked_completed = max(conn.acked_completed, watermark)
+        conn.received_acked = conn.received_seq
+        writer.write(
+            encode_message(
+                Ack(
+                    session=conn.session_index,
+                    seq=conn.acked_completed,
+                    received_seq=max(conn.received_seq, 0),
+                    processed=session.frames_processed,
                 )
             )
-            await writer.drain()
+        )
+        return True
+
+    async def _ack_pump(self, conn: _Connection, writer: asyncio.StreamWriter) -> None:
+        """Push a completion-watermark ack whenever the watermark moves.
+
+        Woken by the session's completion hook (or a frame shed at
+        submit), never by a timer: an idle connection costs the loop
+        nothing, and a finished batch is acked one loop turn later.
+        """
+        while True:
+            wake = conn.next_wake()
+            if self._write_ack(conn, writer):
+                await writer.drain()
+            await wake.wait()
 
     async def _wait_drained(self, conn: _Connection) -> None:
         session = conn.session
         if session is None:
             return
-        while not self.scheduler.drained(session.session_id):
-            await asyncio.sleep(_DRAIN_POLL_S)
+        while True:
+            wake = conn.next_wake()
+            if self.scheduler.drained(session.session_id):
+                return
+            await wake.wait()
 
     # -------------------------------------------------------------- lifecycle
     async def _finalize_session(self, conn: _Connection) -> None:

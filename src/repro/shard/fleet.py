@@ -41,12 +41,18 @@ Accounting invariants:
 - A session's :class:`AttachMsg` is sent before ``submit()`` can reach
   its shard (before ``_assign`` points there), so a worker never sees a
   frame ahead of its session's attach.
+- A session's completion hook (``attach(session, on_complete)``) fires
+  on the supervisor thread each time a report or a crash settlement
+  moves its consumed count, after the move: whoever it wakes sees
+  ``drained()``, ``frames_processed`` and ``dropped_crash`` already
+  account for the batch.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable
 from multiprocessing.connection import wait as connection_wait
 from typing import Any
 
@@ -146,6 +152,8 @@ class ShardedFleet:
         #: reports merge as base + reported. Bumped on every re-home.
         self._consumed_base: dict[str, int] = {}  # reprolint: guarded-by(_cond)
         self._dropped: dict[str, int] = {}  # reprolint: guarded-by(_cond)
+        #: Completion hooks registered at attach (see :meth:`attach`).
+        self._hooks: dict[str, Callable[[], None]] = {}  # reprolint: guarded-by(_cond)
         self._detach_acks: dict[str, DetachAck] = {}  # reprolint: guarded-by(_cond)
         self._pending_detach: dict[str, ShardWorker] = {}  # reprolint: guarded-by(_cond)
         self._next_index = 0
@@ -227,8 +235,19 @@ class ShardedFleet:
             self._started = False
             self._supervisor = None
 
-    def attach(self, session: DetectorSession) -> None:
-        """Home an externally-owned session on the least-loaded shard."""
+    def attach(
+        self, session: DetectorSession, on_complete: Callable[[], None] | None = None
+    ) -> None:
+        """Home an externally-owned session on the least-loaded shard.
+
+        ``on_complete`` is the session's completion hook, as for
+        :meth:`FleetScheduler.attach <repro.fleet.scheduler.FleetScheduler.attach>`:
+        the supervisor thread calls it once a report or a crash
+        settlement has moved the session's consumed count, so inside it
+        ``frames_processed``, the session's ``dropped_crash`` and
+        :meth:`drained` already reflect the batch. It must be O(1) and
+        must not block.
+        """
         if session.n_bins > self.slot_bins:
             raise ValueError(
                 f"session {session.session_id!r} declares {session.n_bins} bins; "
@@ -251,6 +270,8 @@ class ShardedFleet:
             self._accepted.setdefault(sid, 0)
             self._consumed.setdefault(sid, 0)
             self._dropped.setdefault(sid, 0)
+            if on_complete is not None:
+                self._hooks[sid] = on_complete
             self._attaching[sid] = worker
         # The attach goes down the pipe before submit() can route a frame
         # to this shard (see the module docstring). Sent outside the lock:
@@ -293,6 +314,7 @@ class ShardedFleet:
             lost = self._accepted.pop(session_id, 0) - self._consumed.pop(session_id, 0)
             self._consumed_base.pop(session_id, None)
             self._dropped.pop(session_id, None)
+            self._hooks.pop(session_id, None)
             return max(0, lost)
 
     def submit(self, session_id: str, item: FrameItem) -> bool:
@@ -452,12 +474,20 @@ class ShardedFleet:
             session = sessions.get(sid)
             if session is not None:
                 self._mirror_state(session, generation, state_value)
+        hooks: list[Callable[[], None]] = []
         with self._cond:
             for sid, consumed in report.consumed.items():
                 rebased = self._consumed_base.get(sid, 0) + consumed
                 if rebased > self._consumed.get(sid, 0):
                     self._consumed[sid] = rebased
+                    hook = self._hooks.get(sid)
+                    if hook is not None:
+                        hooks.append(hook)
             self._cond.notify_all()
+        # Only after _consumed moved: a caller a hook wakes must already
+        # see drained() hold.
+        for hook in hooks:
+            hook()
 
     def _apply_event(self, session: DetectorSession | None, event: FleetEvent) -> None:
         if session is None:
@@ -557,17 +587,25 @@ class ShardedFleet:
 
         Every accepted frame is either reported consumed, carried onto
         the replacement's ring, or lost: taken off the dead ring by a
-        worker that died before reporting it (at most one tick).
+        worker that died before reporting it (at most one tick). The
+        loss also lands on the session's ``dropped_crash``, and its
+        completion hook fires once ``_consumed`` has moved (under
+        ``_cond``, which the hook's O(1), non-blocking contract allows).
         """
         for sid in homed:
             settled = self._accepted[sid] - carried.get(sid, 0)
             lost = settled - self._consumed[sid]
-            if lost > 0:
-                self.metrics.counter(f"session.{sid}.dropped_crash").inc(lost)
-                self.metrics.counter("fleet.dropped_crash").inc(lost)
-                session = self._sessions.get(sid)
-                if session is not None:
-                    session._emit(FrameDropEvent(sid, session.time_s, lost, where="crash"))
             # Replacement workers count consumed frames from zero, the
             # carried ones first: everything before them is settled.
             self._consumed[sid] = self._consumed_base[sid] = settled
+            if lost <= 0:
+                continue
+            self.metrics.counter(f"session.{sid}.dropped_crash").inc(lost)
+            self.metrics.counter("fleet.dropped_crash").inc(lost)
+            session = self._sessions.get(sid)
+            if session is not None:
+                session.dropped_crash += lost
+                session._emit(FrameDropEvent(sid, session.time_s, lost, where="crash"))
+            hook = self._hooks.get(sid)
+            if hook is not None:
+                hook()

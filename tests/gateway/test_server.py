@@ -301,8 +301,10 @@ class TestFaultIsolation:
                 )
                 await second._writer.drain()
                 # The server drops the second connection instead of
-                # hijacking the live session.
-                await asyncio.sleep(0.05)
+                # hijacking the live session. It counts the error before
+                # it closes the socket, so once the second client's
+                # reader has seen the close, the count is final.
+                await asyncio.wait_for(second._reader_task, timeout=30.0)
                 errors = server.metrics.counter("gateway.connection_errors").value
                 await second.close()
 
