@@ -22,7 +22,8 @@ import pytest
 
 from conftest import base_scenario, print_block
 from repro.eval.report import format_table
-from repro.fleet import FleetService
+from repro.fleet import FleetScheduler, FleetService, ServeBackend
+from repro.shard import ShardedFleet
 
 BENCH_PATH = Path(__file__).parent / "BENCH_fleet.json"
 FLEET_SIZES = [1, 4, 16]
@@ -54,7 +55,12 @@ def scale_trace(trace_catalog):
 def run_fleet(
     trace, n_sessions: int, backend: str = "threaded", queue_depth: int = 4096
 ) -> dict:
-    service = FleetService(workers=WORKERS, queue_depth=queue_depth, backend=backend)
+    pool: ServeBackend
+    if backend == "sharded":
+        pool = ShardedFleet(workers=WORKERS, queue_depth=queue_depth)
+    else:
+        pool = FleetScheduler(workers=WORKERS, queue_depth=queue_depth)
+    service = FleetService(pool)
     for k in range(n_sessions):
         service.add_session(f"v{k:02d}", trace.frames)
     service.run()

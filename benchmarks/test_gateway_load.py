@@ -24,6 +24,7 @@ import pytest
 
 from conftest import print_block
 from repro.eval.report import format_table
+from repro.fleet import FleetScheduler
 from repro.gateway.loadgen import LoadGenerator
 from repro.gateway.server import GatewayServer
 from repro.physio import ParticipantProfile
@@ -60,7 +61,9 @@ def drive_path(tmp_path_factory) -> Path:
 
 def run_load(drive_path: Path, n_vehicles: int) -> dict:
     async def go():
-        server = GatewayServer(workers=WORKERS, queue_depth=QUEUE_DEPTH)
+        server = GatewayServer(
+            backend=FleetScheduler(workers=WORKERS, queue_depth=QUEUE_DEPTH)
+        )
         await server.start()
         try:
             generator = LoadGenerator(

@@ -19,7 +19,7 @@ Run:
 
 from repro.core.realtime import RealTimeBlinkDetector
 from repro.eval.metrics import score_blink_detection
-from repro.fleet import FleetService, StateChangeEvent, VehicleSpec
+from repro.fleet import FleetScheduler, FleetService, StateChangeEvent, VehicleSpec
 from repro.hardware import FrameStream, SpiBus, UwbRadarDevice, XepDriver
 
 N_VEHICLES = 8
@@ -30,7 +30,7 @@ FAULTS = {"v01": 6.0, "v04": 9.0, "v06": 13.0}
 
 
 def main() -> None:
-    service = FleetService(workers=4)
+    service = FleetService(FleetScheduler(workers=4))
     for k in range(N_VEHICLES):
         vehicle_id = f"v{k:02d}"
         service.add_vehicle(

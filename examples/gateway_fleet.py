@@ -20,6 +20,7 @@ import asyncio
 import tempfile
 from pathlib import Path
 
+from repro.fleet import FleetScheduler
 from repro.gateway.http import MetricsHttpServer
 from repro.gateway.loadgen import LoadGenerator
 from repro.gateway.server import GatewayServer
@@ -51,7 +52,7 @@ def record_drive(path: Path) -> None:
 
 
 async def serve_fleet(drive: Path, record_dir: Path) -> None:
-    server = GatewayServer(workers=4, record_dir=record_dir)
+    server = GatewayServer(backend=FleetScheduler(workers=4), record_dir=record_dir)
     await server.start()
     http = MetricsHttpServer(
         server.metrics, health=server.health, ready=lambda: server.ready

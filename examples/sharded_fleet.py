@@ -68,7 +68,7 @@ def act_one_bit_identity(trace):
     print("— act one: threaded vs sharded, same frames —")
 
     metrics = MetricsRegistry()
-    threaded = FleetScheduler([], workers=2, metrics=metrics)
+    threaded = FleetScheduler(workers=2, metrics=metrics)
     threaded.start()
     t_sessions = [
         IngestSession(f"v{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
@@ -82,7 +82,7 @@ def act_one_bit_identity(trace):
     for session in t_sessions:
         session.close()
 
-    sharded = ShardedFleet([], workers=2, slot_bins=trace.n_bins)
+    sharded = ShardedFleet(workers=2, slot_bins=trace.n_bins)
     sharded.start()
     s_sessions = [
         IngestSession(f"v{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
@@ -102,7 +102,7 @@ def act_one_bit_identity(trace):
 
 def act_two_crash(trace):
     print("\n— act two: SIGKILL one shard mid-stream —")
-    fleet = ShardedFleet([], workers=4, slot_bins=trace.n_bins)
+    fleet = ShardedFleet(workers=4, slot_bins=trace.n_bins)
     fleet.start()
     sessions = [
         IngestSession(f"c{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,

@@ -213,18 +213,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetService, VehicleSpec
+    from repro.fleet import FleetScheduler, FleetService, ServeBackend, VehicleSpec
 
     if args.vehicles < 1:
         raise SystemExit("fleet: need at least one vehicle")
     if not 0 <= args.faults <= args.vehicles:
         raise SystemExit(f"fleet: --faults must be in 0..{args.vehicles}")
     fault_at = args.fault_at if args.fault_at is not None else 0.4 * args.duration
-    service = FleetService(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        backend="sharded" if args.sharded else "threaded",
-    )
+    backend: ServeBackend
+    if args.sharded:
+        from repro.shard import ShardedFleet
+
+        backend = ShardedFleet(workers=args.workers, queue_depth=args.queue_depth)
+    else:
+        backend = FleetScheduler(workers=args.workers, queue_depth=args.queue_depth)
+    service = FleetService(backend)
     for k in range(args.vehicles):
         service.add_vehicle(
             VehicleSpec(

@@ -8,10 +8,15 @@ deployed BlinkRadar fleet needs:
 - :mod:`repro.fleet.session` — :class:`DetectorSession`, a lifecycle
   state machine (INIT → COLD_START → RUNNING ⇄ DEGRADED → STOPPED) with
   SPI-fault recovery via chip soft-reset.
-- :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, a thread-pool
-  pump with bounded per-session queues and drop-oldest backpressure.
+- :mod:`repro.fleet.backend` — :class:`ServeBackend`, the contract every
+  detector pool implements (this package's threaded scheduler and
+  :mod:`repro.shard`'s process fleet), the queue ledger both share, and
+  :func:`run_to_completion`, the one pump that drives simulated sessions
+  through either.
+- :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, the thread-pool
+  backend with bounded per-session queues and drop-oldest backpressure.
 - :mod:`repro.fleet.service` — :class:`FleetService`, spawn/stop/restart,
-  aggregated typed events, health snapshots.
+  aggregated typed events, health snapshots, over one backend object.
 - :mod:`repro.fleet.events` — the typed event records.
 - :mod:`repro.fleet.metrics` — a dependency-free counters/gauges/
   histograms registry exporting to a JSON dict.
@@ -20,6 +25,7 @@ deployed BlinkRadar fleet needs:
 See ``docs/fleet.md`` for the architecture and policies.
 """
 
+from repro.fleet.backend import ServeBackend, run_to_completion
 from repro.fleet.events import (
     BlinkEvent,
     DrowsyAlertEvent,
@@ -49,9 +55,11 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "RestartEvent",
+    "ServeBackend",
     "SessionConfig",
     "SessionState",
     "SpiFaultInjector",
     "StateChangeEvent",
     "VehicleSpec",
+    "run_to_completion",
 ]

@@ -1,0 +1,161 @@
+"""The serve-backend contract, its shared queue ledger, and the one pump.
+
+Two backends run detector sessions: :class:`~repro.fleet.scheduler.FleetScheduler`
+(a thread pool in this process) and :class:`~repro.shard.fleet.ShardedFleet`
+(shard worker processes fed over shared-memory rings). Both implement
+:class:`ServeBackend`, so everything above them — the network gateway,
+:class:`~repro.fleet.service.FleetService`, :func:`run_to_completion` —
+takes one backend object and never asks which kind it holds.
+
+Contract, for either backend:
+
+- ``start()`` brings the workers up; a second ``start()`` before
+  ``stop()`` raises :class:`RuntimeError`. ``stop()`` drains every
+  accepted frame, then stops the workers; it never closes a session
+  (sessions are externally owned) and is idempotent.
+- ``attach(session, on_complete=None)`` registers a session (a duplicate
+  id raises :class:`ValueError`); ``on_complete`` is called on a
+  backend thread after each batch of the session's frames has left the
+  pipeline, once the backend's own accounting for it is done.
+- ``submit(session_id, item)`` never blocks. It returns True when the
+  frame was queued without shedding and False when backpressure shed a
+  frame (:func:`account_queue` counts and events it). Every frame
+  submitted is either processed or counted as shed.
+- ``drained(session_id)`` is True once every accepted frame of the
+  session has left the pipeline; ``idle()`` is the same for every
+  session. ``detach(session_id)`` unregisters a session and returns the
+  number of accepted frames it lost (0 after ``drained()``).
+- Every call naming an unknown session id raises :class:`KeyError`.
+
+Documented deviations (``docs/fleet.md``): the threaded scheduler sheds
+the *oldest* queued frame and allows ``attach`` before ``start``; the
+sharded fleet sheds the *arriving* frame, requires ``start`` first, and
+its ``detach`` flushes the session's pending detection state worker-side.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from collections.abc import Callable
+from typing import Protocol
+
+from repro.fleet.events import FrameDropEvent
+from repro.fleet.metrics import MetricsRegistry
+from repro.fleet.session import DetectorSession, FrameItem, SessionState
+
+__all__ = ["ServeBackend", "account_queue", "run_to_completion"]
+
+
+class ServeBackend(Protocol):
+    """What the gateway and the fleet service need from a detector pool."""
+
+    #: Registry every backend-side metric lands in (worker-process deltas
+    #: included); the gateway's ``/metrics`` endpoint renders it.
+    metrics: MetricsRegistry
+
+    def start(self) -> None: ...
+
+    def stop(self) -> None: ...
+
+    def attach(
+        self, session: DetectorSession, on_complete: Callable[[], None] | None = None
+    ) -> None: ...
+
+    def detach(self, session_id: str) -> int: ...
+
+    def submit(self, session_id: str, item: FrameItem) -> bool: ...
+
+    def drained(self, session_id: str) -> bool: ...
+
+    def idle(self) -> bool: ...
+
+
+def account_queue(
+    metrics: MetricsRegistry,
+    session: DetectorSession,
+    depth: int,
+    shed: FrameItem | None = None,
+) -> None:
+    """Record a session's queue after frames entered or left it.
+
+    Sets ``session.<id>.queue_depth`` to ``depth`` (accepted frames not
+    yet out of the pipeline). ``shed`` is the frame a submit shed, if
+    any: the loss lands on ``session.<id>.dropped_queue`` and
+    ``fleet.dropped_queue`` and as ``FrameDropEvent(where="queue")``
+    stamped with that frame's device time. Both backends call this
+    under their own lock, so gauge writes land in the order their
+    depths were taken and a drained session reads 0.
+    """
+    sid = session.session_id
+    metrics.gauge(f"session.{sid}.queue_depth").set(depth)
+    if shed is None:
+        return
+    metrics.counter(f"session.{sid}.dropped_queue").inc()
+    metrics.counter("fleet.dropped_queue").inc()
+    session._emit(FrameDropEvent(sid, shed[1], 1, where="queue"))
+
+
+def run_to_completion(
+    backend: ServeBackend,
+    sessions: list[DetectorSession],
+    max_rounds: int | None = None,
+    pace_s: float | None = None,
+) -> int:
+    """Pump ``sessions`` through ``backend`` until they finish; returns rounds.
+
+    Sessions still in INIT are started, the backend is started, and
+    every session is attached. Each round then advances every active
+    session one frame period (device time stays in lockstep across the
+    fleet) and submits what it produced; ``fleet.rounds`` counts the
+    rounds on the backend's registry, and ``pace_s`` sleeps between
+    rounds for real-time cadence. Once no session is producing (or after
+    ``max_rounds``), the pump waits on the sessions' completion hooks,
+    not a timer, until the backend is idle. Finally every session is
+    detached, the backend stopped, and every session closed (in
+    processing order: the last results are applied before ``close``
+    stamps STOPPED). Blocks the calling thread.
+    """
+    if not sessions:
+        raise ValueError("need at least one session")
+    for session in sessions:
+        if session.state is SessionState.INIT:
+            session.start()
+    completed = threading.Event()
+    backend.start()
+    rounds = 0
+    try:
+        for session in sessions:
+            backend.attach(session, on_complete=completed.set)
+        while max_rounds is None or rounds < max_rounds:
+            alive = False
+            for session in sessions:
+                if not session.active or session.draining:
+                    continue
+                alive = True
+                item = session.produce()
+                if item is not None:
+                    backend.submit(session.session_id, item)
+            rounds += 1
+            backend.metrics.counter("fleet.rounds").inc()
+            if not alive:
+                break
+            if pace_s:
+                time.sleep(pace_s)
+        while True:
+            # Cleared before the check: a batch finishing after it sets
+            # the event again, so no completion is missed.
+            completed.clear()
+            if backend.idle():
+                break
+            completed.wait()
+    finally:
+        for session in sessions:
+            try:
+                backend.detach(session.session_id)
+            except KeyError:
+                pass  # never attached: the pump failed before reaching it
+        backend.stop()
+        for session in sessions:
+            session.close()
+    return rounds

@@ -4,13 +4,15 @@ The service composes everything below it: it simulates one driving
 world per vehicle (:mod:`repro.sim`), builds a supervised
 :class:`~repro.fleet.session.DetectorSession` per vehicle (optionally
 behind a :class:`~repro.fleet.faults.SpiFaultInjector`), drives them all
-through one :class:`~repro.fleet.scheduler.FleetScheduler`, aggregates
-every typed event into a single time-ordered log, and exports health
-snapshots plus a JSON-serialisable metrics snapshot.
+through one serve backend (:class:`~repro.fleet.scheduler.FleetScheduler`
+threads by default, or a :class:`~repro.shard.fleet.ShardedFleet`) with
+the run-to-completion pump :func:`~repro.fleet.backend.run_to_completion`,
+aggregates every typed event into a single time-ordered log, and exports
+health snapshots plus a JSON-serialisable metrics snapshot.
 
 Typical use::
 
-    service = FleetService(workers=4)
+    service = FleetService(FleetScheduler(workers=4))
     for k in range(8):
         service.add_vehicle(VehicleSpec(f"v{k:02d}", seed=k, duration_s=30.0,
                                         fault_at_s=10.0 if k < 2 else None))
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fleet.backend import ServeBackend, run_to_completion
 from repro.fleet.events import FleetEvent
 from repro.fleet.faults import SpiFaultInjector
 from repro.hardware.spi import SpiSlave
-from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.session import DetectorSession, SessionConfig
 
@@ -85,24 +87,31 @@ class VehicleSpec:
 
 
 class FleetService:
-    """Spawn, supervise and observe many concurrent detector sessions."""
+    """Spawn, supervise and observe many concurrent detector sessions.
+
+    Parameters
+    ----------
+    backend:
+        The serve backend the sessions run on (default: a
+        :class:`FleetScheduler` with its defaults). Its registry is the
+        service's :attr:`metrics`.
+    session_config:
+        Policy shared by every session the service builds.
+    pace_s:
+        Optional sleep per pump round, to pump at real-time cadence
+        instead of as fast as possible.
+    """
 
     def __init__(
         self,
-        workers: int = 4,
-        queue_depth: int = 4096,
+        backend: ServeBackend | None = None,
         session_config: SessionConfig | None = None,
         pace_s: float | None = None,
-        backend: str = "threaded",
     ) -> None:
-        if backend not in ("threaded", "sharded"):
-            raise ValueError(f"unknown backend {backend!r} (threaded|sharded)")
-        self.backend = backend
-        self.workers = workers
-        self.queue_depth = queue_depth
+        self.backend: ServeBackend = backend if backend is not None else FleetScheduler()
         self.session_config = session_config if session_config is not None else SessionConfig()
         self.pace_s = pace_s
-        self.metrics = MetricsRegistry()
+        self.metrics = self.backend.metrics
         self.sessions: dict[str, DetectorSession] = {}
         self.traces: dict[str, object] = {}
         self._events: list[FleetEvent] = []  # reprolint: guarded-by(_events_lock)
@@ -183,32 +192,16 @@ class FleetService:
         """Drive every session to completion; returns pump rounds.
 
         Sessions are started (INIT → COLD_START), pumped concurrently
-        through the scheduler's worker pool, drained, and finalized.
-        Wall time and aggregate throughput land in the metrics registry.
+        through the backend by :func:`~repro.fleet.backend.run_to_completion`,
+        drained, and finalized. Wall time and aggregate throughput land
+        in the metrics registry.
         """
         if not self.sessions:
             raise RuntimeError("no sessions registered")
         started = time.perf_counter()
-        if self.backend == "sharded":
-            from repro.shard.runner import run_sharded
-
-            rounds = run_sharded(
-                list(self.sessions.values()),
-                shards=self.workers,
-                queue_depth=self.queue_depth,
-                metrics=self.metrics,
-                max_rounds=max_rounds,
-                pace_s=self.pace_s,
-            )
-        else:
-            scheduler = FleetScheduler(
-                list(self.sessions.values()),
-                workers=self.workers,
-                queue_depth=self.queue_depth,
-                metrics=self.metrics,
-                pace_s=self.pace_s,
-            )
-            rounds = scheduler.run(max_rounds=max_rounds)
+        rounds = run_to_completion(
+            self.backend, list(self.sessions.values()), max_rounds, self.pace_s
+        )
         self._wall_s = time.perf_counter() - started
         processed = self.metrics.counter("fleet.frames_processed").value
         self.metrics.gauge("fleet.wall_s").set(self._wall_s)

@@ -66,17 +66,24 @@ def add_gateway_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.fleet.backend import ServeBackend
+    from repro.fleet.scheduler import FleetScheduler
     from repro.gateway.http import MetricsHttpServer
     from repro.gateway.server import GatewayServer
 
     async def serve() -> None:
+        backend: ServeBackend
+        if args.backend == "sharded":
+            from repro.shard import ShardedFleet
+
+            backend = ShardedFleet(workers=args.workers, queue_depth=args.queue_depth)
+        else:
+            backend = FleetScheduler(workers=args.workers, queue_depth=args.queue_depth)
         server = GatewayServer(
             host=args.host,
             port=args.port,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
+            backend=backend,
             record_dir=args.record_dir,
-            backend=args.backend,
         )
         await server.start()
         http = MetricsHttpServer(

@@ -4,11 +4,12 @@
 service. Each accepted connection speaks the
 :mod:`~repro.gateway.protocol` wire format: a HELLO declares the
 vehicle, every FRAME carries one driver frame with its device-time
-timestamp, and the server multiplexes all of them into a single
-:class:`~repro.fleet.scheduler.FleetScheduler` worker pool through the
-scheduler's public non-blocking :meth:`~repro.fleet.scheduler.FleetScheduler.submit`
-path — so socket ingest gets exactly the fleet's bounded queues,
-drop-oldest backpressure, and metrics.
+timestamp, and the server multiplexes all of them into one serve
+backend (:class:`~repro.fleet.backend.ServeBackend`: the threaded
+:class:`~repro.fleet.scheduler.FleetScheduler` by default, or a
+process-sharded :class:`~repro.shard.fleet.ShardedFleet`) through its
+non-blocking ``submit`` — so socket ingest gets exactly the fleet's
+bounded queues, backpressure, and metrics.
 
 Operational properties:
 
@@ -44,7 +45,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.fleet.metrics import MetricsRegistry
+from repro.fleet.backend import ServeBackend
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.session import SessionConfig
 from repro.gateway.ingest import IngestSession
@@ -98,7 +99,7 @@ class _Connection:
         self.received_seq = -1
         #: Frames accepted onto the session queue (includes later drops).
         self.submitted = 0
-        #: Frames shed by drop-oldest backpressure at submit time.
+        #: Frames the backend shed at submit time (backpressure).
         self.dropped_queue = 0
         #: Frames rejected before the queue (bad payload size/dtype).
         self.bad_frames = 0
@@ -152,10 +153,14 @@ class _Connection:
     def consumed_frames(self) -> int:
         """Frames that have left the pipeline (processed or shed).
 
-        Queue order is FIFO with drop-oldest, so consumption always
-        takes the *front* of the submit order: the count alone
-        identifies exactly which submitted frames are done. Frames a
-        shard crash lost count as well: they will never be processed.
+        The watermark treats this count as a prefix of the submit order.
+        That is exact on the threaded backend: its queue is FIFO with
+        drop-oldest, so consumption always takes the *front*. The
+        sharded ring sheds the *arriving* frame instead, so while earlier
+        frames are still queued the count runs ahead of processing by the
+        number of frames shed, and the ACK covers that many unprocessed
+        frames early (an open ROADMAP item). Frames a shard crash lost
+        count as well: they will never be processed.
         """
         session = self.session
         if session is None:
@@ -201,24 +206,25 @@ class _Connection:
 
 
 class GatewayServer:
-    """Streaming ingest service over a :class:`FleetScheduler` worker pool.
+    """Streaming ingest service over one serve backend.
 
     Parameters
     ----------
     host / port:
         Listen address; port 0 binds an ephemeral port (see
         :attr:`port` after :meth:`start`).
-    workers / queue_depth:
-        Scheduler worker pool size and per-session queue bound (the
-        backpressure threshold: a client staying below it loses no
-        frames).
+    backend:
+        The detector pool (default: a :class:`FleetScheduler` with its
+        defaults). Its worker count and queue bound size the service
+        (a client staying below the bound loses no frames), and its
+        registry is the server's :attr:`metrics`, which also backs the
+        HTTP metrics endpoint. The server starts and stops it.
     record_dir:
         When set, every session's ingested traffic is recorded to
         ``<record_dir>/<session_id>.rst`` and registered in that
         directory's catalog on session close.
-    session_config / metrics:
-        Shared fleet policy and registry; the registry also backs the
-        HTTP metrics endpoint.
+    session_config:
+        Shared fleet policy for every connection's session.
     ack_every:
         Send a receipt ack at least every this many frames even when
         the completion watermark has not moved (keeps a slow consumer's
@@ -230,39 +236,20 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = 4,
-        queue_depth: int = 4096,
+        backend: ServeBackend | None = None,
         record_dir: str | Path | None = None,
         session_config: SessionConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         ack_every: int = 64,
-        backend: str = "threaded",
     ) -> None:
         if ack_every < 1:
             raise ValueError(f"ack_every must be >= 1, got {ack_every}")
-        if backend not in ("threaded", "sharded"):
-            raise ValueError(f"unknown backend {backend!r} (threaded|sharded)")
         self.host = host
         self._requested_port = port
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.scheduler: ServeBackend = backend if backend is not None else FleetScheduler()
+        self.metrics = self.scheduler.metrics
         self.session_config = session_config
         self.record_dir = Path(record_dir) if record_dir is not None else None
         self.ack_every = ack_every
-        self.queue_depth = queue_depth
-        self.backend = backend
-        if backend == "sharded":
-            # Same serve surface, detector work in shard processes.
-            # Imported lazily: repro.shard's worker module imports from
-            # this package, so a top-level import would be circular.
-            from repro.shard.fleet import ShardedFleet
-
-            self.scheduler: Any = ShardedFleet(
-                [], workers=workers, queue_depth=queue_depth, metrics=self.metrics
-            )
-        else:
-            self.scheduler = FleetScheduler(
-                [], workers=workers, queue_depth=queue_depth, metrics=self.metrics
-            )
         self.sessions: dict[str, IngestSession] = {}
         # Serializes catalog registration: session finalizations run on
         # executor threads and may overlap, but the catalog manifest is
@@ -293,7 +280,7 @@ class GatewayServer:
         return self._started and not self._draining
 
     async def start(self) -> None:
-        """Bind the socket and start the scheduler's worker pool.
+        """Bind the socket and start the backend's workers.
 
         Pool start-up runs on an executor: the sharded backend blocks
         while its worker processes warm up, and the loop must stay live.

@@ -18,22 +18,23 @@ detector side into worker *processes*, each owning a shard of sessions:
   :class:`~repro.core.batched.BatchedPipeline`), then runs the stateful
   per-session walks — in its own interpreter, on its own core.
 - The parent (:class:`~repro.shard.fleet.ShardedFleet`) supervises the
-  shards: a SIGKILLed worker is detected, its in-flight ring slots are
-  counted as losses, a replacement is spawned and the dead shard's
-  sessions are re-homed onto it — other shards never notice, and no
-  parent call deadlocks.
+  shards: a SIGKILLed worker is detected, the frames it took but never
+  reported (at most one tick) are counted as losses, a replacement is
+  spawned, the dead shard's sessions and its ring's backlog move onto
+  it — other shards never notice, and no parent call deadlocks.
 
-:class:`ShardedFleet` implements the scheduler's serve-mode surface
-(``start``/``stop``/``attach``/``detach``/``submit``/``drained``/
-``idle``), so the network gateway and the fleet CLI select it as a
-drop-in backend.
+:class:`ShardedFleet` implements the
+:class:`~repro.fleet.backend.ServeBackend` contract, so the network
+gateway, :class:`~repro.fleet.service.FleetService` and the one
+run-to-completion pump (:func:`~repro.fleet.backend.run_to_completion`)
+take it in place of the threaded scheduler; the ``gateway serve
+--backend sharded`` and ``fleet --sharded`` CLI flags construct it.
 """
 
 from __future__ import annotations
 
 from repro.shard.fleet import ShardedFleet
 from repro.shard.ring import ShmRing
-from repro.shard.runner import run_sharded
 from repro.shard.worker import ShardWorker
 
-__all__ = ["ShardWorker", "ShardedFleet", "ShmRing", "run_sharded"]
+__all__ = ["ShardWorker", "ShardedFleet", "ShmRing"]

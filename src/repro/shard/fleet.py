@@ -1,11 +1,11 @@
 """`ShardedFleet`: the process-sharded drop-in fleet backend.
 
-Implements the :class:`~repro.fleet.scheduler.FleetScheduler` serve-mode
-surface — ``start``/``stop``/``attach``/``detach``/``submit``/
-``drained``/``idle`` plus the ``queue_depths``/``dropped`` inspection
-pair — over a pool of shard worker *processes* instead of a thread pool,
-so the gateway and the fleet CLI switch backends without changing a
-line of their own code.
+Implements the :class:`~repro.fleet.backend.ServeBackend` contract —
+``start``/``stop``/``attach``/``detach``/``submit``/``drained``/``idle``
+— over a pool of shard worker *processes* instead of the threaded
+scheduler's thread pool, so the gateway, the fleet service and the
+run-to-completion pump take either backend without changing a line of
+their own code.
 
 Topology::
 
@@ -21,7 +21,8 @@ Topology::
 Accounting invariants:
 
 - Every submitted frame is **accepted** (pushed onto its shard's ring)
-  or **dropped** (ring full — counted, evented, ``submit`` returns
+  or **dropped** (ring full — counted and evented by the shared
+  :func:`~repro.fleet.backend.account_queue`, ``submit`` returns
   False). Every accepted frame is eventually **consumed** (the worker
   processed or stale-flushed it) or — only if its shard dies first —
   counted as a crash loss. ``drained(sid)`` is exactly
@@ -45,7 +46,8 @@ Accounting invariants:
   on the supervisor thread each time a report or a crash settlement
   moves its consumed count, after the move: whoever it wakes sees
   ``drained()``, ``frames_processed`` and ``dropped_crash`` already
-  account for the batch.
+  account for the batch. The same move rewrites the session's
+  ``queue_depth`` gauge, so a drained session reads 0.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.fleet.backend import account_queue
 from repro.fleet.events import BlinkEvent, FleetEvent, FrameDropEvent
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.session import DetectorSession, FrameItem, SessionState
@@ -97,10 +100,6 @@ class ShardedFleet:
 
     Parameters mirror :class:`~repro.fleet.scheduler.FleetScheduler`:
 
-    sessions:
-        Pre-registered fleet (attached to shards on :meth:`start`;
-        still-INIT sessions are started there). Empty is legal — the
-        gateway attaches sessions at runtime.
     workers:
         Shard *processes* (each also drains its ring on its own core).
     queue_depth:
@@ -118,7 +117,6 @@ class ShardedFleet:
 
     def __init__(
         self,
-        sessions: list[DetectorSession] | None = None,
         workers: int = 4,
         queue_depth: int = 1024,
         metrics: MetricsRegistry | None = None,
@@ -131,12 +129,8 @@ class ShardedFleet:
         self.workers = workers
         self.queue_depth = queue_depth
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._initial_sessions = list(sessions) if sessions else []
-        max_bins = max(
-            [slot_bins] + [s.n_bins for s in self._initial_sessions]
-        )
-        self.slot_bins = max_bins
-        self._slot_bytes = slot_bytes_for(max_bins)
+        self.slot_bins = slot_bins
+        self._slot_bytes = slot_bytes_for(slot_bins)
         self._cond = threading.Condition()
         self._pool: list[ShardWorker] = []  # reprolint: guarded-by(_cond)
         self._assign: dict[str, ShardWorker] = {}  # reprolint: guarded-by(_cond)
@@ -151,7 +145,6 @@ class ShardedFleet:
         #: replacement worker's cumulative counts restart at zero, so
         #: reports merge as base + reported. Bumped on every re-home.
         self._consumed_base: dict[str, int] = {}  # reprolint: guarded-by(_cond)
-        self._dropped: dict[str, int] = {}  # reprolint: guarded-by(_cond)
         #: Completion hooks registered at attach (see :meth:`attach`).
         self._hooks: dict[str, Callable[[], None]] = {}  # reprolint: guarded-by(_cond)
         self._detach_acks: dict[str, DetachAck] = {}  # reprolint: guarded-by(_cond)
@@ -198,17 +191,12 @@ class ShardedFleet:
         if not all_ready:
             self.stop()
             raise RuntimeError(f"shard workers never became ready: {late}")
-        for session in self._initial_sessions:
-            if session.state is SessionState.INIT:
-                session.start()
-            self.attach(session)
-        self._initial_sessions = []
 
     def stop(self) -> None:
         """Drain every ring, stop and release every worker (idempotent).
 
         Attached sessions are *not* closed — they are externally owned,
-        exactly as in the threaded scheduler's serve mode. Flush a
+        as the serve contract requires of both backends. Flush a
         session's pending detection state with :meth:`detach` first.
         """
         with self._cond:
@@ -269,7 +257,6 @@ class ShardedFleet:
             self._index_of[sid] = index
             self._accepted.setdefault(sid, 0)
             self._consumed.setdefault(sid, 0)
-            self._dropped.setdefault(sid, 0)
             if on_complete is not None:
                 self._hooks[sid] = on_complete
             self._attaching[sid] = worker
@@ -313,7 +300,6 @@ class ShardedFleet:
             self._index_of.pop(session_id, None)
             lost = self._accepted.pop(session_id, 0) - self._consumed.pop(session_id, 0)
             self._consumed_base.pop(session_id, None)
-            self._dropped.pop(session_id, None)
             self._hooks.pop(session_id, None)
             return max(0, lost)
 
@@ -322,8 +308,9 @@ class ShardedFleet:
 
         Encodes the frame into a checksummed ring slot and publishes it
         to the session's shard. True when accepted; False when the ring
-        was full and the frame was shed (counted and evented exactly as
-        the threaded scheduler's queue drops are).
+        was full and the frame was shed (accounted by
+        :func:`~repro.fleet.backend.account_queue`, as the threaded
+        scheduler's queue drops are).
         """
         generation, timestamp_s, frame = item
         with self._cond:
@@ -341,18 +328,12 @@ class ShardedFleet:
             accepted = worker.ring.push(slot)
             if accepted:
                 self._accepted[session_id] += 1
-            else:
-                self._dropped[session_id] += 1
-            depth = self._accepted[session_id] - self._consumed.get(session_id, 0)
-            session = self._sessions.get(session_id)
-        self.metrics.gauge(f"session.{session_id}.queue_depth").set(depth)
-        if not accepted:
-            self.metrics.counter(f"session.{session_id}.dropped_queue").inc()
-            self.metrics.counter("fleet.dropped_queue").inc()
-            if session is not None:
-                session._emit(
-                    FrameDropEvent(session_id, timestamp_s, 1, where="queue")
-                )
+            account_queue(
+                self.metrics,
+                self._sessions[session_id],
+                self._accepted[session_id] - self._consumed[session_id],
+                None if accepted else item,
+            )
         return accepted
 
     def drained(self, session_id: str) -> bool:
@@ -371,19 +352,6 @@ class ShardedFleet:
             )
 
     # -------------------------------------------------------------- inspection
-    def queue_depths(self) -> dict[str, int]:
-        """In-flight (accepted, not yet consumed) frames per session id."""
-        with self._cond:
-            return {
-                sid: self._accepted.get(sid, 0) - self._consumed.get(sid, 0)
-                for sid in self._sessions
-            }
-
-    def dropped(self) -> dict[str, int]:
-        """Ring-full drops per session id since attach."""
-        with self._cond:
-            return dict(self._dropped)
-
     def shards(self) -> dict[int, list[str]]:
         """Session ids homed on each live shard (shard index keyed)."""
         with self._cond:
@@ -480,6 +448,7 @@ class ShardedFleet:
                 rebased = self._consumed_base.get(sid, 0) + consumed
                 if rebased > self._consumed.get(sid, 0):
                     self._consumed[sid] = rebased
+                    self._account_exit(sid)
                     hook = self._hooks.get(sid)
                     if hook is not None:
                         hooks.append(hook)
@@ -511,6 +480,12 @@ class ShardedFleet:
             if session._state in (SessionState.INIT, SessionState.STOPPED):
                 return
             session._state = new_state
+
+    def _account_exit(self, sid: str) -> None:  # reprolint: guarded-by(_cond)
+        """Rewrite a session's depth gauge after its consumed count moved."""
+        session = self._sessions.get(sid)
+        if session is not None:
+            account_queue(self.metrics, session, self._accepted[sid] - self._consumed[sid])
 
     def _check_crashes(self) -> None:
         with self._cond:
@@ -598,6 +573,7 @@ class ShardedFleet:
             # Replacement workers count consumed frames from zero, the
             # carried ones first: everything before them is settled.
             self._consumed[sid] = self._consumed_base[sid] = settled
+            self._account_exit(sid)
             if lost <= 0:
                 continue
             self.metrics.counter(f"session.{sid}.dropped_crash").inc(lost)

@@ -1,0 +1,335 @@
+"""The serve-backend contract, checked once for both backends.
+
+Every test runs on the threaded :class:`FleetScheduler` and on the
+process-sharded :class:`ShardedFleet` (see ``repro.fleet.backend`` for
+the contract): one test per :class:`ServeBackend` method, shed
+conservation, the run-to-completion pump against a serial run, and the
+documented deviations between the two backends.
+
+Nothing here sleeps or polls: a wait is on the session's completion
+hook (with a deadline only as a failure bound), and a full queue is
+built with the consumers held — threaded workers not yet started, the
+shard worker stopped with SIGSTOP — so every shed count is exact.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import signal
+import threading
+from collections.abc import Iterator
+
+import numpy as np
+import pytest
+
+from repro.fleet.backend import ServeBackend, run_to_completion
+from repro.fleet.events import FrameDropEvent
+from repro.fleet.scheduler import FleetScheduler
+from repro.fleet.session import DetectorSession, SessionState
+from repro.gateway.ingest import IngestSession
+from repro.shard.fleet import ShardedFleet
+
+_N_BINS = 16
+_FPS = 25.0
+_BACKENDS = ("threaded", "sharded")
+_TIMEOUT_S = 60.0
+
+
+def _backend(name: str, queue_depth: int = 1024) -> ServeBackend:
+    if name == "threaded":
+        return FleetScheduler(workers=2, queue_depth=queue_depth)
+    return ShardedFleet(workers=1, queue_depth=queue_depth, slot_bins=256)
+
+
+def _session(backend: ServeBackend, session_id: str) -> IngestSession:
+    session = IngestSession(
+        session_id, n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=backend.metrics
+    )
+    session.start()
+    return session
+
+
+def _items(session: IngestSession, count: int, seed: int = 5):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        frame = (
+            rng.standard_normal(_N_BINS) + 1j * rng.standard_normal(_N_BINS)
+        ).astype(np.complex64)
+        yield session.make_item(k / _FPS, frame)
+
+
+class _Completions:
+    """A completion hook plus a wait on it; no polling."""
+
+    def __init__(self) -> None:
+        self._event = threading.Event()
+
+    def hook(self) -> None:
+        self._event.set()
+
+    def wait(self, condition) -> None:
+        while True:
+            # Cleared before the check, so a completion after it is seen.
+            self._event.clear()
+            if condition():
+                return
+            assert self._event.wait(_TIMEOUT_S), "no completion within the deadline"
+
+
+def _attach(backend: ServeBackend, session: IngestSession) -> _Completions:
+    done = _Completions()
+    backend.attach(session, on_complete=done.hook)
+    return done
+
+
+@contextlib.contextmanager
+def _consumers_held(name: str, backend: ServeBackend) -> Iterator[None]:
+    """Run the body with no consumer taking frames, then release them.
+
+    The threaded backend is started only on exit (attach before start is
+    part of its contract); the sharded one is running, so its worker
+    processes are stopped and continued.
+    """
+    if name == "threaded":
+        yield
+        backend.start()
+        return
+    assert isinstance(backend, ShardedFleet)
+    pids = [backend.shard_pid(index) for index in backend.shards()]
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)
+
+
+@pytest.fixture(scope="module", params=_BACKENDS)
+def running(request):
+    """One started backend per kind, shared by the tests that attach and
+    detach their own sessions (shard start-up costs about a second)."""
+    backend = _backend(request.param)
+    backend.start()
+    yield backend
+    backend.stop()
+
+
+@pytest.fixture(params=_BACKENDS)
+def fresh(request):
+    """``(name, backend)``: a new backend with a depth-2 queue, ready for
+    :func:`_consumers_held` (sharded started; threaded workers start on
+    release), stopped afterwards."""
+    backend = _backend(request.param, queue_depth=2)
+    if request.param == "sharded":
+        backend.start()
+    yield request.param, backend
+    backend.stop()
+
+
+class TestContract:
+    def test_submit_leads_to_processing(self, running):
+        session = _session(running, "sub0")
+        done = _attach(running, session)
+        try:
+            for item in _items(session, 40):
+                assert running.submit("sub0", item)
+            done.wait(lambda: running.drained("sub0"))
+            assert session.frames_processed == 40
+            assert running.metrics.counter("session.sub0.frames_processed").value == 40
+        finally:
+            running.detach("sub0")
+            session.close()
+
+    def test_attach_duplicate_id_raises_value_error(self, running):
+        session = _session(running, "dup0")
+        running.attach(session)
+        other = _session(running, "dup0")
+        try:
+            with pytest.raises(ValueError, match="duplicate"):
+                running.attach(other)
+        finally:
+            running.detach("dup0")
+            session.close()
+            other.close()
+
+    def test_unknown_id_raises_key_error(self, running):
+        with pytest.raises(KeyError):
+            running.submit("ghost", (0, 0.0, np.zeros(_N_BINS, np.complex64)))
+        with pytest.raises(KeyError):
+            running.drained("ghost")
+        with pytest.raises(KeyError):
+            running.detach("ghost")
+
+    def test_detach_after_drained_returns_zero(self, running):
+        session = _session(running, "det0")
+        done = _attach(running, session)
+        for item in _items(session, 30):
+            running.submit("det0", item)
+        done.wait(lambda: running.drained("det0"))
+        assert running.detach("det0") == 0
+        with pytest.raises(KeyError):
+            running.drained("det0")  # gone with the detach
+        session.close()
+
+    def test_drained_session_reads_zero_queue_depth(self, running):
+        # The gauge used to be written only at submit, so a drained
+        # session kept reporting its last backlog.
+        session = _session(running, "gauge0")
+        done = _attach(running, session)
+        try:
+            for item in _items(session, 60):
+                running.submit("gauge0", item)
+            done.wait(lambda: running.drained("gauge0"))
+            assert running.metrics.gauge("session.gauge0.queue_depth").value == 0
+        finally:
+            running.detach("gauge0")
+            session.close()
+
+    def test_idle_covers_every_session(self, running):
+        assert running.idle()
+        sessions = [_session(running, f"idle{i}") for i in range(2)]
+        done = _Completions()
+        for session in sessions:
+            running.attach(session, on_complete=done.hook)
+        try:
+            for session in sessions:
+                for item in _items(session, 25):
+                    running.submit(session.session_id, item)
+            done.wait(running.idle)
+            assert all(running.drained(s.session_id) for s in sessions)
+            assert [s.frames_processed for s in sessions] == [25, 25]
+        finally:
+            for session in sessions:
+                running.detach(session.session_id)
+                session.close()
+
+    def test_start_twice_raises_runtime_error(self, running):
+        with pytest.raises(RuntimeError):
+            running.start()
+
+    @pytest.mark.parametrize("backend_name", _BACKENDS)
+    def test_stop_drains_without_closing_and_is_idempotent(self, backend_name):
+        backend = _backend(backend_name)
+        backend.start()
+        session = _session(backend, "stop0")
+        try:
+            backend.attach(session)
+            for item in _items(session, 25):
+                backend.submit("stop0", item)
+            backend.stop()
+            # Everything accepted was processed; the session stays the
+            # caller's to close.
+            assert session.frames_processed == 25
+            assert session.state is not SessionState.STOPPED
+            backend.stop()
+        finally:
+            backend.stop()
+            session.close()
+        assert session.state is SessionState.STOPPED
+
+    def test_sheds_are_conserved(self, fresh):
+        name, backend = fresh
+        session = _session(backend, "shed0")
+        done = _attach(backend, session)
+        submitted = 400
+        with _consumers_held(name, backend):
+            accepted = sum(backend.submit("shed0", item) for item in _items(session, submitted))
+        done.wait(lambda: backend.drained("shed0"))
+        shed = backend.metrics.counter("session.shed0.dropped_queue").value
+        drops = [
+            e for e in session.events if isinstance(e, FrameDropEvent) and e.where == "queue"
+        ]
+        # A depth-2 queue with its consumers held: exactly two frames stay.
+        assert accepted == 2
+        assert accepted + shed == submitted
+        assert backend.metrics.counter("fleet.dropped_queue").value == shed
+        assert sum(e.n_dropped for e in drops) == shed
+        assert session.frames_processed == 2
+        assert backend.metrics.gauge("session.shed0.queue_depth").value == 0
+        assert backend.detach("shed0") == 0
+        session.close()
+
+
+class TestPump:
+    @pytest.mark.parametrize("backend_name", _BACKENDS)
+    def test_pump_matches_run_serial(self, backend_name, fleet_trace):
+        """The one pump changes no detection result on either backend."""
+        backend = _backend(backend_name)
+        session = DetectorSession("v00", fleet_trace.frames, metrics=backend.metrics)
+        rounds = run_to_completion(backend, [session])
+        reference = DetectorSession("ref", fleet_trace.frames)
+        reference.run_serial()
+        assert session.blink_times_s == reference.blink_times_s
+        assert len(reference.blink_times_s) > 0
+        assert session.state is SessionState.STOPPED
+        assert session.frames_processed == fleet_trace.n_frames
+        assert backend.metrics.counter("fleet.rounds").value == rounds
+        assert backend.metrics.gauge("session.v00.queue_depth").value == 0
+
+    def test_pump_requires_sessions(self):
+        with pytest.raises(ValueError):
+            run_to_completion(FleetScheduler(workers=1), [])
+
+
+class TestDeviations:
+    def test_shed_policy_oldest_vs_newest(self, fresh):
+        """Threaded drops the oldest queued frame; the sharded ring drops
+        the arriving one (a producer cannot evict past the consumer)."""
+        name, backend = fresh
+        session = _session(backend, "pol0")
+        done = _attach(backend, session)
+        with _consumers_held(name, backend):
+            for item in _items(session, 10):
+                backend.submit("pol0", item)
+        done.wait(lambda: backend.drained("pol0"))
+        shed_frames = [
+            round(e.time_s * _FPS)
+            for e in session.events
+            if isinstance(e, FrameDropEvent) and e.where == "queue"
+        ]
+        expected = list(range(8)) if name == "threaded" else list(range(2, 10))
+        assert shed_frames == expected
+        backend.detach("pol0")
+        session.close()
+
+    @pytest.mark.parametrize("backend_name", _BACKENDS)
+    def test_detach_before_drain(self, backend_name):
+        """Threaded detach discards the backlog and reports it; sharded
+        detach drains the ring and flushes the session worker-side."""
+        backend = _backend(backend_name, queue_depth=64)
+        session = _session(backend, "early0")
+        if backend_name == "threaded":
+            # Never started: the backlog can only wait, and detach sheds it.
+            backend.attach(session)
+            for item in _items(session, 7):
+                backend.submit("early0", item)
+            assert backend.detach("early0") == 7
+            assert session.frames_processed == 0
+        else:
+            backend.start()
+            try:
+                backend.attach(session)
+                for item in _items(session, 30):
+                    backend.submit("early0", item)
+                # No drain wait: detach itself applies every result.
+                assert backend.detach("early0") == 0
+                assert session.frames_processed == 30
+            finally:
+                backend.stop()
+        session.close()
+
+    @pytest.mark.parametrize("backend_name", _BACKENDS)
+    def test_attach_before_start(self, backend_name):
+        backend = _backend(backend_name)
+        session = _session(backend, "cold0")
+        try:
+            if backend_name == "threaded":
+                backend.attach(session)
+                assert backend.drained("cold0")
+            else:
+                with pytest.raises(RuntimeError):
+                    backend.attach(session)
+        finally:
+            session.close()

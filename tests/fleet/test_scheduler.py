@@ -1,14 +1,21 @@
 """FleetScheduler: backpressure, per-session ordering, drain guarantees.
 
 A duck-typed fake session keeps these tests about the *scheduler* —
-deterministic and detector-free."""
+deterministic and detector-free. Frames reach it through the one pump
+(:func:`~repro.fleet.backend.run_to_completion`) or through ``submit``;
+waits are on the completion hook, never on a timer."""
 
 import threading
 
 import pytest
 
-from repro.fleet import FleetScheduler, MetricsRegistry, SessionState
+from repro.fleet import FleetScheduler, MetricsRegistry, SessionState, run_to_completion
 from repro.fleet.events import FrameDropEvent
+
+
+def _item(k: int):
+    """A frame item ``(generation, time_s, frame)`` carrying its index."""
+    return (0, k / 25.0, k)
 
 
 class FakeSession:
@@ -39,14 +46,14 @@ class FakeSession:
             self.draining = True
             return None
         self.produced += 1
-        return self.produced - 1
+        return _item(self.produced - 1)
 
     def process(self, item, enqueued_at=None):
         # Flag any concurrent entry: the claim protocol must serialize us.
         n = self._in_process = self._in_process + 1
         if n > 1:
             self._overlap = True
-        self.processed.append(item)
+        self.processed.append(item[2])
         self._in_process -= 1
 
     def process_batch(self, items, enqueued_ats=None):
@@ -63,39 +70,42 @@ class FakeSession:
         self.events.append(event)
 
 
+def _dropped(metrics: MetricsRegistry, session_id: str) -> int:
+    return metrics.counter(f"session.{session_id}.dropped_queue").value
+
+
 class TestValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            FleetScheduler([FakeSession("a", 1)], workers=0)
+            FleetScheduler(workers=0)
         with pytest.raises(ValueError):
-            FleetScheduler([FakeSession("a", 1)], queue_depth=0)
-        # Empty construction is legal (serve mode attaches sessions at
-        # runtime); pumping an empty fleet is the error.
+            FleetScheduler(queue_depth=0)
+        # Empty construction is legal (sessions attach at runtime);
+        # pumping an empty fleet is the error.
         with pytest.raises(ValueError):
-            FleetScheduler([]).run()
+            run_to_completion(FleetScheduler(), [])
 
 
 class TestScheduling:
     def test_processes_everything_in_order(self):
         sessions = [FakeSession(f"s{k}", 200) for k in range(5)]
-        scheduler = FleetScheduler(sessions, workers=4)
-        scheduler.run()
+        scheduler = FleetScheduler(workers=4)
+        run_to_completion(scheduler, sessions)
         for s in sessions:
             assert s.processed == list(range(200))  # per-session FIFO, lossless
             assert not s._overlap  # never two workers on one session
             assert s.closed
             assert not s.active
-        assert scheduler.queue_depths() == {s.session_id: 0 for s in sessions}
+            assert scheduler.metrics.gauge(f"session.{s.session_id}.queue_depth").value == 0
 
     def test_starts_init_sessions(self):
         session = FakeSession("s0", 3)
-        FleetScheduler([session], workers=1).run()
+        run_to_completion(FleetScheduler(workers=1), [session])
         assert session.produced == 3
 
     def test_max_rounds_bounds_the_pump(self):
         session = FakeSession("s0", 1000)
-        scheduler = FleetScheduler([session], workers=1)
-        rounds = scheduler.run(max_rounds=10)
+        rounds = run_to_completion(FleetScheduler(workers=1), [session], max_rounds=10)
         assert rounds == 10
         assert session.produced == 10
         assert session.processed == list(range(10))  # drained before return
@@ -103,7 +113,7 @@ class TestScheduling:
 
     def test_single_worker_many_sessions(self):
         sessions = [FakeSession(f"s{k}", 50) for k in range(4)]
-        FleetScheduler(sessions, workers=1).run()
+        run_to_completion(FleetScheduler(workers=1), sessions)
         for s in sessions:
             assert s.processed == list(range(50))
 
@@ -113,46 +123,71 @@ class TestBackpressure:
         """Deterministic drop-oldest: fill a depth-3 queue without workers."""
         session = FakeSession("s0", 10)
         metrics = MetricsRegistry()
-        scheduler = FleetScheduler([session], queue_depth=3, metrics=metrics)
-        slot = scheduler._slots[0]
-        for item in range(10):
-            scheduler._enqueue(slot, item)
-        assert [item for item, _ in slot.queue] == [7, 8, 9]  # freshest wins
-        assert slot.dropped == 7
-        assert scheduler.dropped() == {"s0": 7}
+        scheduler = FleetScheduler(queue_depth=3, metrics=metrics)
+        scheduler.attach(session)
+        accepted = [scheduler.submit("s0", _item(k)) for k in range(10)]
+        assert accepted == [True] * 3 + [False] * 7
         assert metrics.counter("session.s0.dropped_queue").value == 7
         assert metrics.counter("fleet.dropped_queue").value == 7
+        assert metrics.gauge("session.s0.queue_depth").value == 3
         drops = [e for e in session.events if isinstance(e, FrameDropEvent)]
-        assert len(drops) == 7
         assert all(e.where == "queue" for e in drops)
+        # Each event is stamped with the evicted frame: the oldest went.
+        assert [round(e.time_s * 25.0) for e in drops] == list(range(7))
+        scheduler.start()
+        scheduler.stop()
+        assert session.processed == [7, 8, 9]  # freshest wins
 
     def test_slow_consumer_loses_only_its_own_frames(self):
         """One stalled session must not make a healthy one drop.
 
-        The pump is paced so the (instant) fast consumer genuinely keeps
-        up; the slow consumer blocks on a gate until the pump is done.
+        Ordering is gate-driven, not timed: the slow session's first
+        frame parks one worker on a gate, every fast frame waits for the
+        previous one's completion hook (so the healthy consumer keeps up
+        by construction), and the stalled queue overflows by an exact
+        count before the gate opens.
         """
         slow = FakeSession("slow", 100)
         fast = FakeSession("fast", 100)
         gate = threading.Event()
+        parked = threading.Event()
 
         original = slow.process.__func__
 
         def stalled(item, enqueued_at=None):
-            gate.wait(timeout=5.0)
+            parked.set()
+            assert gate.wait(timeout=60.0)
             original(slow, item, enqueued_at)
 
         slow.process = stalled
-        scheduler = FleetScheduler([slow, fast], workers=2, queue_depth=16, pace_s=0.002)
-        runner = threading.Thread(target=scheduler.run)
-        runner.start()
-        runner.join(timeout=2.0)  # let the pump overflow the stalled queue
-        gate.set()
-        runner.join(timeout=10.0)
-        assert not runner.is_alive()
-        dropped = scheduler.dropped()
-        assert dropped["fast"] == 0
-        assert dropped["slow"] > 0  # the stall overflowed only its own queue
+        fast_done = threading.Event()
+        slow_done = threading.Event()
+        scheduler = FleetScheduler(workers=2, queue_depth=16)
+        scheduler.attach(slow, on_complete=slow_done.set)
+        scheduler.attach(fast, on_complete=fast_done.set)
+        scheduler.start()
+        try:
+            assert scheduler.submit("slow", _item(0))
+            assert parked.wait(timeout=60.0)  # one worker is now stuck
+            for k in range(1, 100):
+                scheduler.submit("slow", _item(k))
+            for k in range(100):
+                fast_done.clear()
+                assert scheduler.submit("fast", _item(k))
+                assert fast_done.wait(timeout=60.0)
+            gate.set()
+            while True:
+                slow_done.clear()
+                if scheduler.drained("slow"):
+                    break
+                assert slow_done.wait(timeout=60.0)
+        finally:
+            gate.set()
+            scheduler.stop()
+        metrics = scheduler.metrics
+        assert _dropped(metrics, "fast") == 0
+        # Frame 0 was taken; 99 more met a 16-deep queue: 83 shed.
+        assert _dropped(metrics, "slow") == 99 - 16
         assert fast.processed == list(range(100))
         # Whatever survived the slow queue was still processed in order.
-        assert slow.processed == sorted(slow.processed)
+        assert slow.processed == [0] + list(range(100 - 16, 100))

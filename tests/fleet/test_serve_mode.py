@@ -1,23 +1,24 @@
-"""Scheduler serve mode: the public external-ingestion surface.
+"""Threaded serve mode beyond the shared contract, and `IngestSession`.
 
-Pump mode owns production; serve mode receives frames from outside
-(the network gateway). These tests pin the contract the gateway builds
-on: attach/detach at runtime, non-blocking submit with drop-oldest
-backpressure, drained/idle visibility, and strict separation of the two
-modes.
+The serve surface both backends share (attach/detach, non-blocking
+submit, drained/idle, start/stop, shed accounting) is pinned once for
+both in ``test_backend_contract.py``. What stays here is threaded-only:
+many producer threads submitting at once, and attach-before-start used
+to queue stale frames ahead of the workers. Waits are on the completion
+hook, never a timed poll.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.session import DetectorSession, SessionState
+from repro.fleet.session import DetectorSession
 from repro.gateway.ingest import IngestSession
 
 
@@ -36,126 +37,29 @@ def _frames(session, count: int, start: int = 0):
         yield session.make_item(k / 25.0, frame)
 
 
-def _wait_drained(scheduler, session_id: str, timeout_s: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not scheduler.drained(session_id):
-        assert time.monotonic() < deadline, "scheduler never drained"
-        time.sleep(0.002)
+def _wait_drained(scheduler, session_id: str, completed: threading.Event) -> None:
+    """Wait on the session's completion hook until it is drained."""
+    while True:
+        completed.clear()
+        if scheduler.drained(session_id):
+            return
+        assert completed.wait(timeout=60.0), "scheduler never drained"
 
 
 class TestServeMode:
-    def test_submit_processes_through_worker_pool(self):
-        metrics = MetricsRegistry()
-        scheduler = FleetScheduler([], workers=2, metrics=metrics)
-        scheduler.start()
-        try:
-            session = _ingest_session("s0", metrics)
-            scheduler.attach(session)
-            for item in _frames(session, 40):
-                assert scheduler.submit("s0", item)
-            _wait_drained(scheduler, "s0")
-            assert session.frames_processed == 40
-            assert scheduler.detach("s0") == 0
-            session.close()
-        finally:
-            scheduler.stop()
-
-    def test_empty_scheduler_is_legal_in_serve_mode(self):
-        scheduler = FleetScheduler([], workers=1)
-        scheduler.start()
-        assert scheduler.idle()
-        scheduler.stop()
-
-    def test_submit_drop_oldest_backpressure(self):
-        metrics = MetricsRegistry()
-        scheduler = FleetScheduler([], workers=1, queue_depth=4, metrics=metrics)
-        session = _ingest_session("s1", metrics)
-        # Workers not started: the queue can only fill.
-        scheduler.attach(session)
-        results = [scheduler.submit("s1", item) for item in _frames(session, 10)]
-        assert results[:4] == [True] * 4
-        assert results[4:] == [False] * 6
-        assert metrics.counter("session.s1.dropped_queue").value == 6
-        assert metrics.counter("fleet.dropped_queue").value == 6
-        assert scheduler.queue_depths()["s1"] == 4
-        session.close()
-
-    def test_submit_unknown_session_raises(self):
-        scheduler = FleetScheduler([], workers=1)
-        with pytest.raises(KeyError):
-            scheduler.submit("nope", (1, 0.0, np.zeros(4, dtype=np.complex64)))
-
-    def test_attach_duplicate_id_rejected(self):
-        scheduler = FleetScheduler([], workers=1)
-        session = _ingest_session("dup")
-        scheduler.attach(session)
-        with pytest.raises(ValueError):
-            scheduler.attach(_ingest_session("dup"))
-        session.close()
-
-    def test_detach_reports_discarded_backlog(self):
-        scheduler = FleetScheduler([], workers=1, queue_depth=64)
-        session = _ingest_session("s2")
-        scheduler.attach(session)
-        for item in _frames(session, 7):
-            scheduler.submit("s2", item)
-        assert scheduler.detach("s2") == 7
-        with pytest.raises(KeyError):
-            scheduler.drained("s2")
-        session.close()
-
-    def test_stop_drains_but_does_not_close_sessions(self):
-        metrics = MetricsRegistry()
-        scheduler = FleetScheduler([], workers=2, metrics=metrics)
-        scheduler.start()
-        session = _ingest_session("s3", metrics)
-        scheduler.attach(session)
-        for item in _frames(session, 25):
-            scheduler.submit("s3", item)
-        scheduler.stop()
-        # Everything queued was processed; the session stays the
-        # caller's to close.
-        assert session.frames_processed == 25
-        assert session.state is not SessionState.STOPPED
-        session.close()
-        assert session.state is SessionState.STOPPED
-
-    def test_stop_is_idempotent(self):
-        scheduler = FleetScheduler([], workers=1)
-        scheduler.start()
-        scheduler.stop()
-        scheduler.stop()
-
-    def test_run_refused_while_serving(self, fleet_trace):
-        scheduler = FleetScheduler([], workers=1)
-        scheduler.start()
-        try:
-            with pytest.raises(RuntimeError):
-                scheduler.run()
-        finally:
-            scheduler.stop()
-
-    def test_run_still_requires_sessions(self):
-        with pytest.raises(ValueError):
-            FleetScheduler([], workers=1).run()
-
-    def test_start_twice_rejected(self):
-        scheduler = FleetScheduler([], workers=1)
-        scheduler.start()
-        try:
-            with pytest.raises(RuntimeError):
-                scheduler.start()
-        finally:
-            scheduler.stop()
-
     def test_submit_is_thread_safe_under_concurrent_producers(self):
+        # More workers than cores, switching every few microseconds: a
+        # depth gauge written outside the lock would end stale.
         metrics = MetricsRegistry()
-        scheduler = FleetScheduler([], workers=2, queue_depth=4096, metrics=metrics)
+        scheduler = FleetScheduler(workers=4, queue_depth=4096, metrics=metrics)
         scheduler.start()
         sessions = [_ingest_session(f"t{i}", metrics) for i in range(3)]
+        completed = {s.session_id: threading.Event() for s in sessions}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             for session in sessions:
-                scheduler.attach(session)
+                scheduler.attach(session, on_complete=completed[session.session_id].set)
 
             def producer(session):
                 for item in _frames(session, 100):
@@ -167,18 +71,21 @@ class TestServeMode:
             for t in threads:
                 t.join()
             for session in sessions:
-                _wait_drained(scheduler, session.session_id)
+                _wait_drained(scheduler, session.session_id, completed[session.session_id])
                 assert session.frames_processed == 100
+                assert metrics.gauge(f"session.{session.session_id}.queue_depth").value == 0
         finally:
+            sys.setswitchinterval(interval)
             scheduler.stop()
             for session in sessions:
                 session.close()
 
     def test_generation_stale_frames_flushed_on_restart(self):
         metrics = MetricsRegistry()
-        scheduler = FleetScheduler([], workers=1, queue_depth=64, metrics=metrics)
+        scheduler = FleetScheduler(workers=1, queue_depth=64, metrics=metrics)
         session = _ingest_session("g0", metrics)
-        scheduler.attach(session)
+        completed = threading.Event()
+        scheduler.attach(session, on_complete=completed.set)
         stale = list(_frames(session, 5))
         # A restart bumps the generation; frames stamped before it are
         # flushed as stale by the worker, not fed to the new detector.
@@ -187,7 +94,7 @@ class TestServeMode:
         for item in stale:
             scheduler.submit("g0", item)
         scheduler.start()
-        _wait_drained(scheduler, "g0")
+        _wait_drained(scheduler, "g0", completed)
         scheduler.stop()
         assert session.frames_processed == 0
         assert metrics.counter("session.g0.dropped_stale").value == 5

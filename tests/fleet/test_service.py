@@ -7,6 +7,7 @@ import pytest
 
 from repro.fleet import (
     DetectorSession,
+    FleetScheduler,
     FleetService,
     RestartEvent,
     StateChangeEvent,
@@ -45,7 +46,7 @@ class TestVehicleSpec:
 class TestFleetRun:
     @pytest.fixture(scope="class")
     def service(self, fleet_trace, fleet_trace_b):
-        service = FleetService(workers=4)
+        service = FleetService(FleetScheduler(workers=4))
         service.add_session("v00", fleet_trace.frames)
         service.add_session("v01", fleet_trace_b.frames)
         service.run()
@@ -87,7 +88,7 @@ class TestFleetRun:
 class TestFaultedFleet:
     @pytest.fixture(scope="class")
     def service(self):
-        service = FleetService(workers=4)
+        service = FleetService(FleetScheduler(workers=4))
         service.add_vehicle(VehicleSpec("ok", duration_s=12.0, seed=3))
         service.add_vehicle(VehicleSpec("hurt", duration_s=12.0, seed=4, fault_at_s=5.0))
         service.run()
@@ -136,7 +137,7 @@ class TestFaultedFleet:
 
 class TestOperatorControl:
     def test_manual_restart_before_run(self, fleet_trace):
-        service = FleetService(workers=2)
+        service = FleetService(FleetScheduler(workers=2))
         service.add_session("v00", fleet_trace.frames)
         service.restart("v00")  # honoured on the first produce
         service.run()
@@ -145,7 +146,7 @@ class TestOperatorControl:
         assert service.health()["v00"]["state"] == "stopped"
 
     def test_stop_request(self, fleet_trace):
-        service = FleetService(workers=2)
+        service = FleetService(FleetScheduler(workers=2))
         service.add_session("v00", fleet_trace.frames)
         service.stop("v00")
         service.run()

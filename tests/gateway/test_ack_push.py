@@ -57,13 +57,13 @@ def _frames(count: int, seed: int = 3) -> np.ndarray:
     )
 
 
-def _backend(name: str):
+def _backend(name: str, queue_depth: int = 1024):
     # One worker (one supervisor): hook calls then follow the batches in
     # order, so a call that sees the last frame processed is the last
     # batch's own call.
     if name == "threaded":
-        return FleetScheduler([], workers=1)
-    return ShardedFleet([], workers=1, slot_bins=_N_BINS)
+        return FleetScheduler(workers=1, queue_depth=queue_depth)
+    return ShardedFleet(workers=1, queue_depth=queue_depth, slot_bins=_N_BINS)
 
 
 async def _loop_turns(n: int = 3) -> None:
@@ -128,7 +128,7 @@ class TestCompletionHook:
     def test_crash_settlement_fires_the_hook_after_accounting(self):
         # The crash path reads only the parent-side ledger, so a fleet
         # that never spawned a worker can settle a synthetic loss.
-        fleet = ShardedFleet([], workers=1, slot_bins=_N_BINS)
+        fleet = ShardedFleet(workers=1, slot_bins=_N_BINS)
         session = _session("k0")
         seen: list[tuple[bool, int]] = []
         with fleet._cond:
@@ -145,7 +145,7 @@ class TestCompletionHook:
 class TestAckPump:
     def test_acks_are_pushed_by_the_hook_not_a_timer(self):
         async def scenario():
-            server = GatewayServer(workers=1)
+            server = GatewayServer(backend=_backend("threaded"))
             conn = _Connection(server, peer="test")
             session = _session("pump")
             conn.session = session
@@ -191,7 +191,7 @@ class TestAckPump:
                 queued.append(callback)
                 return real(callback, *args)
 
-            server = GatewayServer(workers=1)
+            server = GatewayServer(backend=_backend("threaded"))
             conn = _Connection(server, peer="test")
             loop.call_soon_threadsafe = spy
             try:
@@ -218,7 +218,7 @@ class TestAckPump:
         count_lock = threading.Lock()
 
         async def scenario():
-            server = GatewayServer(workers=1)
+            server = GatewayServer(backend=_backend("threaded"))
             conn = _Connection(server, peer="test")
 
             def worker() -> None:
@@ -255,7 +255,7 @@ class TestDrainAck:
         n = 80
 
         async def scenario():
-            server = GatewayServer(workers=1, queue_depth=queue_depth, backend=backend)
+            server = GatewayServer(backend=_backend(backend, queue_depth))
             await server.start()
             try:
                 client = await GatewayClient.connect(server.host, server.port)
@@ -287,7 +287,7 @@ class TestCrashLossInWatermark:
         n, lost = 12, 3
 
         async def scenario():
-            server = GatewayServer(workers=1, backend="sharded")  # never started
+            server = GatewayServer(backend=_backend("sharded"))  # never started
             fleet = server.scheduler
             conn = _Connection(server, peer="test")
             session = _session("w0")

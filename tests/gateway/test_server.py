@@ -21,6 +21,7 @@ import zlib
 import numpy as np
 
 from repro.core.realtime import RealTimeBlinkDetector
+from repro.fleet.scheduler import FleetScheduler
 from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import HEADER_BYTES, MAGIC, encode_frame_payload, encode_message, Hello
 from repro.gateway.server import GatewayServer
@@ -55,7 +56,7 @@ class TestEndToEnd:
     def test_recording_content_hash_equals_source(self, gateway_trace_path, tmp_path):
         async def scenario():
             record_dir = tmp_path / "rec"
-            server = GatewayServer(workers=2, record_dir=record_dir)
+            server = GatewayServer(backend=FleetScheduler(workers=2), record_dir=record_dir)
             await server.start()
             try:
                 _, stats, _ = await _replay_through_gateway(
@@ -78,7 +79,7 @@ class TestEndToEnd:
 
     def test_detection_identical_to_direct_replay(self, gateway_trace_path):
         async def scenario():
-            server = GatewayServer(workers=2)
+            server = GatewayServer(backend=FleetScheduler(workers=2))
             await server.start()
             try:
                 session, stats, _ = await _replay_through_gateway(
@@ -111,7 +112,7 @@ class TestEndToEnd:
 
     def test_client_latency_samples_collected(self, gateway_trace_path):
         async def scenario():
-            server = GatewayServer(workers=2)
+            server = GatewayServer(backend=FleetScheduler(workers=2))
             await server.start()
             try:
                 _, _, client = await _replay_through_gateway(
@@ -151,7 +152,7 @@ class TestEndToEnd:
 
         async def scenario():
             record_dir = tmp_path / "rec"
-            server = GatewayServer(workers=2, record_dir=record_dir)
+            server = GatewayServer(backend=FleetScheduler(workers=2), record_dir=record_dir)
             await server.start()
             try:
                 report = await LoadGenerator(
@@ -186,7 +187,7 @@ class TestConcurrentFinalization:
 
         async def scenario():
             record_dir = tmp_path / "rec"
-            server = GatewayServer(workers=4, record_dir=record_dir)
+            server = GatewayServer(backend=FleetScheduler(workers=4), record_dir=record_dir)
             await server.start()
             try:
                 # run() raises the first vehicle failure (e.g. a BYE
@@ -218,7 +219,7 @@ class TestBackpressure:
         async def scenario():
             # A 4-deep queue against an unpaced replay guarantees
             # shedding.
-            server = GatewayServer(workers=1, queue_depth=4)
+            server = GatewayServer(backend=FleetScheduler(workers=1, queue_depth=4))
             await server.start()
             try:
                 _, stats, _ = await _replay_through_gateway(
@@ -238,7 +239,7 @@ class TestBackpressure:
 
     def test_below_threshold_loses_nothing(self, gateway_trace_path):
         async def scenario():
-            server = GatewayServer(workers=2, queue_depth=4096)
+            server = GatewayServer(backend=FleetScheduler(workers=2, queue_depth=4096))
             await server.start()
             try:
                 _, stats, _ = await _replay_through_gateway(
@@ -256,7 +257,7 @@ class TestBackpressure:
 class TestFaultIsolation:
     def test_protocol_violation_isolated_from_neighbour(self, gateway_trace_path):
         async def scenario():
-            server = GatewayServer(workers=2)
+            server = GatewayServer(backend=FleetScheduler(workers=2))
             await server.start()
             try:
                 # Hostile: FRAME before HELLO is a protocol violation.
@@ -289,7 +290,7 @@ class TestFaultIsolation:
 
     def test_duplicate_session_id_rejected_first_wins(self, gateway_trace_path):
         async def scenario():
-            server = GatewayServer(workers=2)
+            server = GatewayServer(backend=FleetScheduler(workers=2))
             await server.start()
             try:
                 first = await GatewayClient.connect(server.host, server.port)
@@ -323,7 +324,7 @@ class TestFaultIsolation:
 
     def test_crc_corruption_counted_and_session_survives(self):
         async def scenario():
-            server = GatewayServer(workers=1)
+            server = GatewayServer(backend=FleetScheduler(workers=1))
             await server.start()
             try:
                 client = await GatewayClient.connect(server.host, server.port)
@@ -354,7 +355,7 @@ class TestFaultIsolation:
 
     def test_wrong_payload_size_counted_as_bad_frame(self):
         async def scenario():
-            server = GatewayServer(workers=1)
+            server = GatewayServer(backend=FleetScheduler(workers=1))
             await server.start()
             try:
                 client = await GatewayClient.connect(server.host, server.port)
@@ -388,7 +389,7 @@ class TestLifecycle:
     def test_shutdown_finalizes_live_sessions(self, gateway_trace_path, tmp_path):
         async def scenario():
             record_dir = tmp_path / "rec"
-            server = GatewayServer(workers=2, record_dir=record_dir)
+            server = GatewayServer(backend=FleetScheduler(workers=2), record_dir=record_dir)
             await server.start()
             client = await GatewayClient.connect(server.host, server.port)
             with ReplaySource(gateway_trace_path) as source:
@@ -413,7 +414,7 @@ class TestLifecycle:
     def test_empty_session_leaves_no_recording(self, tmp_path):
         async def scenario():
             record_dir = tmp_path / "rec"
-            server = GatewayServer(workers=1, record_dir=record_dir)
+            server = GatewayServer(backend=FleetScheduler(workers=1), record_dir=record_dir)
             await server.start()
             try:
                 client = await GatewayClient.connect(server.host, server.port)
@@ -429,7 +430,7 @@ class TestLifecycle:
 
     def test_health_and_ready_lifecycle(self):
         async def scenario():
-            server = GatewayServer(workers=1)
+            server = GatewayServer(backend=FleetScheduler(workers=1))
             assert not server.ready
             await server.start()
             ready_started = server.ready
@@ -445,7 +446,7 @@ class TestLifecycle:
 
     def test_sessions_share_scheduler_and_metrics(self, gateway_trace_path):
         async def scenario():
-            server = GatewayServer(workers=2)
+            server = GatewayServer(backend=FleetScheduler(workers=2))
             await server.start()
             try:
                 results = await asyncio.gather(

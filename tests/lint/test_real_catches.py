@@ -52,14 +52,15 @@ class TestGuardedByFleetRaces:
         assert path == "repro/fleet/session.py" and "_generation" in message
 
     def test_unlocked_pumping_handoff(self, repo_root, tmp_path):
-        # FleetScheduler.run raised the pump flag outside the condition
-        # the workers read it under.
+        # The scheduler's pump once raised its run flag outside the
+        # condition the workers read it under; the same hand-off now
+        # lives in FleetScheduler.start, seeded here.
         _seeded_tree(repo_root, tmp_path, {"fleet/scheduler.py": [(
-            "        with self._cond:\n            self._pumping = True\n        threads",
-            "        self._pumping = True\n        threads",
+            "already running\")\n            self._serving = True\n        self._threads",
+            "already running\")\n        self._serving = True\n        self._threads",
         )]})
         [(path, message)] = _findings(tmp_path, "guarded-by")
-        assert path == "repro/fleet/scheduler.py" and "_pumping" in message
+        assert path == "repro/fleet/scheduler.py" and "_serving" in message
 
 
 class TestOrDefaultCameraBaseline:
@@ -79,15 +80,19 @@ class TestBlockingInAsyncGateway:
 
         The first four are the server as it was when the rule caught
         them: the hand-offs to an executor undone, ``_finalize_session``
-        sync again, and the scheduler attribute concretely typed (today
-        it is annotated ``Any`` for its two backends, which the resolver
-        treats as dynamic). The fifth is the load generator's justified
-        suppression, removed.
+        sync again, and the scheduler attribute concretely typed. Today
+        it is typed ``ServeBackend``, a Protocol whose method bodies are
+        ``...``, so the rule would not see a blocking backend call (see
+        docs/static_analysis.md). The fifth is the load generator's
+        justified suppression, removed.
         """
         executor = "await asyncio.get_running_loop().run_in_executor("
         _seeded_tree(repo_root, tmp_path, {
             "gateway/server.py": [
-                ("self.scheduler: Any = ShardedFleet(", "self.scheduler = ShardedFleet("),
+                (
+                    "self.scheduler: ServeBackend = backend if backend is not None else FleetScheduler()",
+                    "self.scheduler = FleetScheduler()",
+                ),
                 (f"{executor}None, self.scheduler.stop)", "self.scheduler.stop()"),
                 (
                     f"{executor}\n                    None, self._open_recorder, hello\n                )",

@@ -10,14 +10,16 @@ deadlocks (``drained`` resolves), the dead shard's sessions are
 re-homed onto a fresh worker and keep processing, and ``detach`` still
 returns for every session afterwards.
 
-Every wait below polls for a condition (with a deadline); none sleeps
-to win a race.
+Waits for the fleet to drain are on the sessions' completion hooks.
+The one wait for the supervisor to notice a kill polls with a deadline:
+it has no event to wait on. None sleeps to win a race.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -66,11 +68,12 @@ class _Stream:
             for sid in self.sids
         }
         self.accepted = {sid: 0 for sid in self.sids}
-        self.fleet = ShardedFleet([], workers=2, queue_depth=4096, slot_bins=_N_BINS)
+        self.completed = threading.Event()
+        self.fleet = ShardedFleet(workers=2, queue_depth=4096, slot_bins=_N_BINS)
         self.fleet.start()
         for session in self.sessions.values():
             session.start()
-            self.fleet.attach(session)
+            self.fleet.attach(session, on_complete=self.completed.set)
         # The shard with the lowest index is the victim.
         victim, victim_sids = min(self.fleet.shards().items())
         self.victim = victim
@@ -82,6 +85,14 @@ class _Stream:
             item = session.make_item(k / _FPS, self.traces[sid][k])
             if self.fleet.submit(sid, item):
                 self.accepted[sid] += 1
+
+    def wait_idle(self, what: str, timeout_s: float = 120.0) -> None:
+        """Wait on the completion hooks until every session is drained."""
+        while True:
+            self.completed.clear()
+            if self.fleet.idle():
+                return
+            assert self.completed.wait(timeout_s), what
 
     def kill_victim(self) -> None:
         os.kill(self.victim_pid, signal.SIGKILL)
@@ -109,7 +120,7 @@ def crashed():
         if k == _N_FRAMES // 3:
             stream.kill_victim()
         stream.submit(k)
-    _wait_for(stream.fleet.idle, "fleet deadlocked after worker crash")
+    stream.wait_idle("fleet deadlocked after worker crash")
     yield stream
     stream.close()
 
@@ -122,13 +133,13 @@ def rehomed():
     half = _N_FRAMES // 2
     for k in range(half):
         stream.submit(k)
-    _wait_for(stream.fleet.idle, "fleet never drained before the kill")
+    stream.wait_idle("fleet never drained before the kill")
     before = {sid: stream.sessions[sid].frames_processed for sid in stream.victim_sids}
     stream.kill_victim()
     _wait_for(lambda: stream.crashes() == 1, "crash never detected")
     for k in range(half, _N_FRAMES):
         stream.submit(k)
-    _wait_for(stream.fleet.idle, "fleet deadlocked after re-home")
+    stream.wait_idle("fleet deadlocked after re-home")
     stream.processed_before_kill = before
     yield stream
     stream.close()

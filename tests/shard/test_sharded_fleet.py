@@ -1,20 +1,21 @@
-"""ShardedFleet: serve-surface parity, bit-identity, backpressure.
+"""ShardedFleet beyond the shared contract: placement, slot size, bit-identity.
 
-The sharded backend must be a drop-in for the threaded scheduler's
-serve mode: same call surface, same error contract, same accounting —
-and, the tentpole acceptance bar, *bit-identical* blink events on the
-same frames, because the workers run the exact same detector code over
-the exact same bytes (the ring's checksummed ``.rst`` chunk framing).
+The serve surface both backends share (errors, drained/idle, detach,
+start/stop, shed conservation and the drop-newest deviation) is pinned
+once for both in ``tests/fleet/test_backend_contract.py``. What stays
+here is sharded-only, plus the acceptance bar: *bit-identical* blink
+events against the threaded backend on the same frames, because the
+workers run the exact same detector code over the exact same bytes (the
+ring's checksummed ``.rst`` chunk framing). Waits are on the session's
+completion hook, never a timed poll.
 """
 
 from __future__ import annotations
 
-import time
+import threading
 
-import numpy as np
 import pytest
 
-from repro.fleet.events import FrameDropEvent
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
 from repro.gateway.ingest import IngestSession
@@ -32,65 +33,28 @@ def _session(session_id: str, metrics=None, n_bins: int = _N_BINS) -> IngestSess
     return session
 
 
-def _frames(session: IngestSession, count: int, seed: int = 5):
-    rng = np.random.default_rng(seed)
-    for k in range(count):
-        frame = (
-            rng.standard_normal(session.n_bins)
-            + 1j * rng.standard_normal(session.n_bins)
-        ).astype(np.complex64)
-        yield session.make_item(k / _FPS, frame)
-
-
-def _wait_idle(fleet, timeout_s: float = 60.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not fleet.idle():
-        assert time.monotonic() < deadline, "sharded fleet never drained"
-        time.sleep(0.005)
+def _wait_drained(backend, session_id: str, completed: threading.Event) -> None:
+    """Wait on the session's completion hook until it is drained."""
+    while True:
+        completed.clear()
+        if backend.drained(session_id):
+            return
+        assert completed.wait(timeout=60.0), f"{session_id} never drained"
 
 
 @pytest.fixture(scope="module")
 def fleet():
-    """One warm 2-shard fleet shared by the surface tests (worker
-    start-up costs seconds; the tests attach/detach their own sessions)."""
-    fleet = ShardedFleet([], workers=2, queue_depth=1024, slot_bins=256)
+    """One warm 2-shard fleet shared by the tests (worker start-up costs
+    seconds; the tests attach/detach their own sessions)."""
+    fleet = ShardedFleet(workers=2, queue_depth=1024, slot_bins=256)
     fleet.start()
     yield fleet
     fleet.stop()
 
 
 class TestServeSurfaceParity:
-    def test_submit_processes_through_worker_processes(self, fleet):
-        session = _session("p0", fleet.metrics)
-        fleet.attach(session)
-        try:
-            for item in _frames(session, 40):
-                assert fleet.submit("p0", item)
-            _wait_idle(fleet)
-            assert session.frames_processed == 40
-        finally:
-            assert fleet.detach("p0") == 0
-            session.close()
-
-    def test_duplicate_attach_raises_value_error(self, fleet):
-        session = _session("p1")
-        fleet.attach(session)
-        try:
-            other = _session("p1")
-            with pytest.raises(ValueError, match="duplicate"):
-                fleet.attach(other)
-            other.close()
-        finally:
-            fleet.detach("p1")
-            session.close()
-
-    def test_unknown_session_raises_key_error(self, fleet):
-        with pytest.raises(KeyError):
-            fleet.submit("ghost", (1, 0.0, np.zeros(_N_BINS, np.complex64)))
-        with pytest.raises(KeyError):
-            fleet.drained("ghost")
-        with pytest.raises(KeyError):
-            fleet.detach("ghost")
+    """The sharded-only rest of the serve surface: shard placement and
+    the ring's slot size."""
 
     def test_oversized_session_rejected_at_attach(self, fleet):
         session = _session("wide", n_bins=512)
@@ -110,73 +74,6 @@ class TestServeSurfaceParity:
                 fleet.detach(session.session_id)
                 session.close()
 
-    def test_detach_flushes_results_before_returning(self, fleet):
-        session = _session("flush0")
-        fleet.attach(session)
-        for item in _frames(session, 30):
-            fleet.submit("flush0", item)
-        # No explicit drain wait: detach itself must drain the ring and
-        # apply every result before it returns.
-        assert fleet.detach("flush0") == 0
-        assert session.frames_processed == 30
-        session.close()
-
-    def test_queue_depths_and_dropped_inspection(self, fleet):
-        session = _session("q0")
-        fleet.attach(session)
-        try:
-            _wait_idle(fleet)
-            assert fleet.queue_depths()["q0"] == 0
-            assert fleet.dropped()["q0"] == 0
-        finally:
-            fleet.detach("q0")
-            session.close()
-
-    def test_double_start_raises(self, fleet):
-        with pytest.raises(RuntimeError):
-            fleet.start()
-
-    def test_attach_before_start_raises(self):
-        cold = ShardedFleet([], workers=1, slot_bins=_N_BINS)
-        session = _session("cold0")
-        with pytest.raises(RuntimeError):
-            cold.attach(session)
-        session.close()
-
-
-class TestBackpressure:
-    def test_ring_full_sheds_newest_with_conservation(self, fleet):
-        # A 1024-slot ring won't fill against live workers; build a tiny
-        # dedicated fleet whose ring holds 2 frames.
-        tiny = ShardedFleet([], workers=1, queue_depth=2, slot_bins=_N_BINS)
-        tiny.start()
-        session = _session("bp0", tiny.metrics)
-        tiny.attach(session)
-        try:
-            submitted, accepted = 0, 0
-            for item in _frames(session, 400):
-                submitted += 1
-                if tiny.submit("bp0", item):
-                    accepted += 1
-            _wait_idle(tiny)
-            dropped = tiny.dropped()["bp0"]
-            # Conservation: every submitted frame either processed or
-            # counted (and evented) as shed — none vanish.
-            assert accepted + dropped == submitted
-            assert session.frames_processed == accepted
-            assert dropped > 0, "2-slot ring never filled: smoke misconfigured"
-            queue_drops = [
-                e
-                for e in session.events
-                if isinstance(e, FrameDropEvent) and e.where == "queue"
-            ]
-            assert sum(e.n_dropped for e in queue_drops) == dropped
-            assert tiny.metrics.counter("session.bp0.dropped_queue").value == dropped
-        finally:
-            tiny.detach("bp0")
-            tiny.stop()
-            session.close()
-
 
 class TestBitIdentity:
     @pytest.mark.parametrize("trace_name", ["lab_trace", "drowsy_trace"])
@@ -193,18 +90,16 @@ class TestBitIdentity:
 
         def run_threaded():
             metrics = MetricsRegistry()
-            scheduler = FleetScheduler([], workers=2, metrics=metrics)
+            scheduler = FleetScheduler(workers=2, metrics=metrics)
             scheduler.start()
             session = _session("golden", metrics, n_bins=trace.n_bins)
-            scheduler.attach(session)
+            completed = threading.Event()
+            scheduler.attach(session, on_complete=completed.set)
             for k in range(len(frames)):
                 assert scheduler.submit(
                     "golden", session.make_item(k / trace.frame_rate_hz, frames[k])
                 )
-            deadline = time.monotonic() + 60
-            while not scheduler.drained("golden"):
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
+            _wait_drained(scheduler, "golden", completed)
             scheduler.detach("golden")
             scheduler.stop()
             # Snapshot *after* close: close() flushes the detector's
@@ -214,12 +109,13 @@ class TestBitIdentity:
 
         def run_sharded():
             session = _session("golden", fleet.metrics, n_bins=trace.n_bins)
-            fleet.attach(session)
+            completed = threading.Event()
+            fleet.attach(session, on_complete=completed.set)
             for k in range(len(frames)):
                 assert fleet.submit(
                     "golden", session.make_item(k / trace.frame_rate_hz, frames[k])
                 )
-            _wait_idle(fleet)
+            _wait_drained(fleet, "golden", completed)
             fleet.detach("golden")
             events = list(session.blink_events)
             session.close()

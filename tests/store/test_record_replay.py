@@ -162,8 +162,9 @@ class TestReplaySource:
         assert session.frames_processed == short_trace.n_frames
 
     def test_drives_fleet_scheduler(self, short_rst, short_trace):
-        # Two sessions replaying the same recording through the full
-        # pump/worker scheduler, each from its own independent cursor.
+        # Two sessions replaying the same recording through the pump
+        # and the scheduler's workers, each from its own independent cursor.
+        from repro.fleet.backend import run_to_completion
         from repro.fleet.scheduler import FleetScheduler
         from repro.fleet.session import DetectorSession
 
@@ -172,7 +173,7 @@ class TestReplaySource:
                 DetectorSession("replay-a", a),
                 DetectorSession("replay-b", b),
             ]
-            FleetScheduler(sessions, workers=2).run()
+            run_to_completion(FleetScheduler(workers=2), sessions)
         for session in sessions:
             assert session.frames_processed == short_trace.n_frames
 

@@ -33,6 +33,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.fleet.backend import ServeBackend  # noqa: E402
+from repro.fleet.scheduler import FleetScheduler  # noqa: E402
 from repro.gateway.http import MetricsHttpServer  # noqa: E402
 from repro.gateway.loadgen import LoadGenerator, LoadReport  # noqa: E402
 from repro.gateway.server import GatewayServer  # noqa: E402
@@ -95,12 +97,14 @@ def check_scrape(text: str, frames_sent: int) -> list[str]:
 
 
 async def run_smoke(args: argparse.Namespace, drive: Path, record_dir: Path) -> int:
-    server = GatewayServer(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        record_dir=record_dir,
-        backend=args.backend,
-    )
+    backend: ServeBackend
+    if args.backend == "sharded":
+        from repro.shard import ShardedFleet
+
+        backend = ShardedFleet(workers=args.workers, queue_depth=args.queue_depth)
+    else:
+        backend = FleetScheduler(workers=args.workers, queue_depth=args.queue_depth)
+    server = GatewayServer(backend=backend, record_dir=record_dir)
     await server.start()
     http = MetricsHttpServer(
         server.metrics, health=server.health, ready=lambda: server.ready

@@ -68,7 +68,7 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
     sessions = {
         sid: IngestSession(sid, n_bins=n_bins, frame_rate_hz=fps) for sid in sids
     }
-    fleet = ShardedFleet([], workers=args.workers, queue_depth=4096, slot_bins=n_bins)
+    fleet = ShardedFleet(workers=args.workers, queue_depth=4096, slot_bins=n_bins)
     fleet.start()
     victim_sids: list[str] = []
     try:
