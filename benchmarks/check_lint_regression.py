@@ -2,17 +2,17 @@
 
 Compares the freshly measured ``BENCH_lint.json`` against the committed
 ``BENCH_lint_baseline.json`` and fails (exit 1) when the warm
-full-rule-set run (interprocedural analysis included) got more than 2x
-slower than the baseline. The warm path is the one developers pay on
-every pre-commit run, and it is exactly where the interprocedural layer
-could silently start re-reading or re-propagating the whole tree.
+full-rule-set run got more than 2x slower than the baseline. The warm
+path is the one developers pay on every pre-commit run, and it is
+exactly where the engine could silently start re-parsing or re-linting
+files the cache already answers.
 
 Both measurements are tens of milliseconds, so the gate also applies an
 absolute floor: a candidate under ``ABS_FLOOR_S`` passes regardless of
 ratio, because doubling a 20 ms number on a noisy shared host is
-scheduler jitter, not a regression. A real regression — the summary
-store no longer hitting, facts deserialised eagerly again — lands the
-warm run back in cold-run territory, far above the floor.
+scheduler jitter, not a regression. A real regression — the cache no
+longer hitting — lands the warm run back in cold-run territory, far
+above the floor.
 
 Usage::
 
@@ -34,10 +34,12 @@ HERE = Path(__file__).parent
 
 
 def warm_full_s(bench: dict, path: Path) -> float:
+    """Wall time of the warm full-rule run (``mode == "parallel warm"``)."""
     try:
-        return float(bench["interproc"]["warm_full_s"])
+        [warm] = [r for r in bench["results"] if r["mode"] == "parallel warm"]
+        return float(warm["wall_s"])
     except (KeyError, TypeError, ValueError):
-        raise SystemExit(f"{path}: no interproc.warm_full_s entry")
+        raise SystemExit(f"{path}: no 'parallel warm' entry in results")
 
 
 def main(argv: list[str]) -> int:
@@ -60,8 +62,8 @@ def main(argv: list[str]) -> int:
     if new > ceiling:
         print(
             "FAIL: the warm lint path regressed past the ceiling — check that "
-            "the summary store still short-circuits (facts must stay lazy on "
-            "a tree-key hit) or, for a deliberate trade-off, refresh "
+            "the result cache still answers every unchanged file or, for a "
+            "deliberate trade-off, refresh "
             "benchmarks/BENCH_lint_baseline.json in this PR and justify it."
         )
         return 1

@@ -33,34 +33,16 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.dsp.stats import SortedWindow
 
 __all__ = ["BlinkDetection", "LevdConfig", "LocalExtremeValueDetector", "detect_blinks"]
 
 
-#: Cache of Φ⁻¹((1+q)/2) per quantile q. scipy is imported lazily on the
-#: first call (keeping module import light), but only once — the seed
-#: re-imported it inside every σ recompute, which showed up as a
-#: constant-overhead stripe across the hot-path profile. The divisor is
-#: resolved at *detector construction* rather than on the first σ
-#: evaluation: the `scipy.stats` import costs seconds on a cold
-#: interpreter, and deferring it to mid-stream turned the first σ
-#: recompute into a multi-second latency spike (the sessions=1 p50
-#: anomaly in BENCH_fleet.json). Construction is session bring-up, where
-#: a one-time cost belongs.
-_PPF_DIVISORS: dict[float, float] = {}
-
-
 def _gaussian_quantile_divisor(q: float) -> float:
     """Φ⁻¹((1+q)/2): scales the q-quantile of |x| into a Gaussian σ."""
-    divisor = _PPF_DIVISORS.get(q)
-    if divisor is None:
-        from scipy.stats import norm
-
-        divisor = float(norm.ppf((1.0 + q) / 2.0))
-        _PPF_DIVISORS[q] = divisor
-    return divisor
+    return float(ndtri((1.0 + q) / 2.0))
 
 
 @dataclass(frozen=True)

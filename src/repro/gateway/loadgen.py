@@ -197,10 +197,9 @@ class LoadGenerator:
 
     async def _vehicle(self, index: int) -> VehicleReport:
         session_id = f"{self.session_prefix}{index:03d}"
-        # One open() per vehicle at startup, before any traffic is
-        # paced: a deliberate, bounded stall on the load-generator side
-        # (the system under test is the server, not this client).
-        with ReplaySource(self.trace_path) as source:  # reprolint: disable=blocking-in-async
+        # Opening the trace is file IO: it runs on a thread so the other
+        # vehicles sharing this loop keep streaming.
+        with await asyncio.to_thread(ReplaySource, self.trace_path) as source:
             client = await GatewayClient.connect(self.host, self.port)
             try:
                 await client.hello(

@@ -13,15 +13,15 @@ the codebase's correctness rests on:
 - **API hygiene** (``mutable-default``, ``except-hygiene``,
   ``or-default``) — no state shared through default arguments, no
   catch-all that swallows the errors recovery paths wait for, and no
-  ``x or default`` on an ``Optional`` parameter;
-- **resource lifecycle** (``resource-leak``) — service-layer resources
-  are released on every path;
-- **event-loop blocking** (``blocking-in-async``) — no coroutine
-  reaches a blocking primitive, however many sync helpers away.
+  ``x or default`` on an ``Optional`` parameter.
+
+Every rule is per-file: no call graph, no whole-tree pass. The event
+loop and OS-resource release are checked at run time instead, by the
+tier-1 test suite (``tests/conftest.py``).
 
 Run it with ``python -m repro lint [paths]``; see
-``docs/static_analysis.md`` for the rule ledger, suppression pragmas
-and the baseline workflow.
+``docs/static_analysis.md`` for the rule ledger, suppression pragmas,
+the runtime checks and the baseline workflow.
 """
 
 from repro.lint.baseline import Baseline

@@ -1,8 +1,7 @@
 """Content-hash result cache for repeated lint runs.
 
-Pre-commit and CI lint the same mostly-unchanged tree over and over; the
-dataflow rules make a cold run meaningfully more expensive than PR 3's
-lexical pass, so clean files should not be re-analysed. The cache maps
+Pre-commit and CI lint the same mostly-unchanged tree over and over, so
+clean files should not be re-analysed. The cache maps
 ``sha256(cache version | rule fingerprint | display path | file bytes)``
 to the file's post-suppression findings. Any input that could change a
 finding is part of the key, so invalidation is automatic: edit the file,
@@ -11,11 +10,10 @@ engine itself changes, and the entry simply never matches again.
 
 The fingerprint (:func:`rule_fingerprint`) is not just the rule names:
 each rule carries a ``version`` that its author bumps on any behaviour
-change, and the engine appends the interprocedural summary digest, so
-editing a rule — or editing a *callee* whose summary a finding depended
-on — invalidates exactly the entries that could now be stale. Matching
-on names alone was a staleness hazard: a re-tuned rule would keep
-serving its old findings from cache until the file itself changed.
+change, so editing a rule invalidates exactly the entries that could now
+be stale. Matching on names alone was a staleness hazard: a re-tuned
+rule would keep serving its old findings from cache until the file
+itself changed.
 
 Entries are one JSON file per key under ``.reprolint_cache/``, written
 atomically (temp file + rename) so concurrent workers and interrupted
@@ -68,8 +66,7 @@ class ResultCache:
         """Stable digest of everything that can change this file's findings.
 
         ``fingerprint`` is the :func:`rule_fingerprint` of the active
-        rules, with the engine's summary digest appended when the run is
-        interprocedural.
+        rules.
         """
         hasher = hashlib.sha256()
         for part in (CACHE_VERSION, fingerprint, display):

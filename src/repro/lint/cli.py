@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import argparse
 import subprocess
-from collections import Counter
 from pathlib import Path
 
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.lint.engine import (
-    build_project,
-    default_jobs,
-    discover_files,
-    lint_paths,
-)
+from repro.lint.engine import default_jobs, discover_files, lint_paths
 from repro.lint.reporters import (
     EXIT_ERROR,
     render_json,
@@ -113,12 +107,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print a pragma inventory and call-resolution table for the "
-        "given paths, then exit (fresh scan; the cache is not consulted)",
-    )
 
 
 def _select_rules(spec: str | None) -> tuple:
@@ -179,78 +167,12 @@ def _narrow_to_changed(paths: list[Path], ref: str) -> list[Path]:
     return [f for f in discover_files(paths) if f.resolve() in changed]
 
 
-def _print_table(title: str, rows: dict[str, int]) -> None:
-    print(title)
-    width = max((len(name) for name in rows), default=0)
-    for name, count in rows.items():
-        print(f"  {name:<{width}}  {count}")
-    print(f"  {'total':<{width}}  {sum(rows.values())}")
-
-
-def run_stats(paths: list[Path]) -> int:
-    """Print the pragma inventory and call-resolution census for ``paths``.
-
-    Both tables come from a fresh scan — the result cache is never
-    consulted, so a stale cache cannot hide a pragma added (or removed)
-    since the last run.
-    """
-    from repro.lint.suppress import scan_pragmas
-
-    files = discover_files(paths)
-    pragmas: Counter[str] = Counter()
-    scanned = 0
-    for path in files:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        scanned += 1
-        per_line, errors = scan_pragmas(text)
-        for line in per_line.values():
-            for rule in line.disabled:
-                pragmas[f"disable={rule}"] += 1
-            pragmas.update({"guarded-by": len(line.guarded_by)})
-            if line.unguarded_ok:
-                pragmas["unguarded-ok"] += 1
-            if line.moves:
-                pragmas["moves"] += 1
-        if errors:
-            pragmas["malformed"] += len(errors)
-
-    _print_table(
-        f"reprolint: pragma inventory ({scanned} files scanned)",
-        dict(sorted(pragmas.items())),
-    )
-    analysis = build_project(files, Path.cwd(), None)
-    stats = analysis.project.stats()
-    print()
-    _print_table(
-        "reprolint: call resolution",
-        {name: stats[name] for name in sorted(stats)},
-    )
-    unresolved = analysis.project.unresolved_calls()
-    if unresolved:
-        print()
-        print("reprolint: unresolved call sites:")
-        for caller, fact in unresolved:
-            print(f"  {caller}:{fact.line} -> {'.'.join(fact.parts)}")
-    return 0
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint run from parsed arguments; returns the exit code."""
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.name:18} {rule.summary}")
         return 0
-    if args.stats:
-        paths = [Path(p) for p in args.paths]
-        missing = [p for p in paths if not p.exists()]
-        if missing:
-            raise SystemExit(
-                f"reprolint: no such path: {', '.join(map(str, missing))}"
-            )
-        return run_stats(paths)
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("reprolint: --jobs must be >= 1")
 

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.lint.suppress import LinePragmas
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.summaries import ProjectAnalysis
 
 __all__ = ["FileContext", "module_parts_of"]
 
@@ -50,10 +46,6 @@ class FileContext:
     tree: ast.Module
     pragmas: dict[int, LinePragmas]
     module_parts: tuple[str, ...] | None
-    #: Whole-tree interprocedural view (call graph + function summaries);
-    #: None when no active rule asked for it. Rules must degrade to their
-    #: intra-procedural behaviour when absent.
-    project: "ProjectAnalysis | None" = None
 
     def pragma(self, line: int) -> LinePragmas | None:
         """Pragmas on a physical line (None when the line has none)."""

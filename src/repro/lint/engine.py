@@ -24,7 +24,6 @@ from repro.lint.context import FileContext, module_parts_of
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.reporters import LintResult
 from repro.lint.rules import LintRule, all_rules
-from repro.lint.summaries import ProjectAnalysis, load_project
 from repro.lint.suppress import scan_pragmas
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "check_file",
     "lint_paths",
     "default_jobs",
-    "build_project",
 ]
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
@@ -40,9 +38,8 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
 #: CPython 3.11's AST-to-object converter keeps its recursion counter on
 #: the *interpreter*, not the thread (fixed in 3.12); two overlapping
 #: ``ast.parse`` calls can corrupt it when a GC pass runs Python-level
-#: finalizers mid-conversion and yields the GIL. Parsing is a small
-#: fraction of per-file work now that the dataflow rules dominate, so
-#: serialising just the parse keeps the fan-out and removes the race.
+#: finalizers mid-conversion and yields the GIL. Serialising just the
+#: parse keeps the fan-out and removes the race.
 _PARSE_LOCK = threading.Lock()
 
 
@@ -81,51 +78,11 @@ def _display_path(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _parse_bytes(raw: bytes, filename: str) -> ast.Module | None:
-    """Decode + parse under the parse lock; None on any syntax problem."""
-    try:
-        source = raw.decode("utf-8")
-        with _PARSE_LOCK:
-            return ast.parse(source, filename=filename)
-    except (UnicodeDecodeError, SyntaxError):
-        return None
-
-
-def build_project(
-    files: list[Path], root: Path, store_dir: Path | None
-) -> ProjectAnalysis:
-    """Whole-tree pre-pass: facts, call graph, summaries for ``files``.
-
-    Only files that live inside the ``repro`` package contribute facts;
-    everything else (tests, tools) is linted per-file as before.
-    """
-    sources: list[tuple[str, tuple[str, ...], bytes]] = []
-    root_resolved = root.resolve()
-    for path in files:
-        resolved = path.resolve()
-        parts = module_parts_of(resolved.parts)
-        if parts is None:
-            continue
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            continue
-        try:
-            display = resolved.relative_to(root_resolved).as_posix()
-        except ValueError:
-            display = path.as_posix()
-        sources.append((display, parts, raw))
-    return load_project(
-        sources, store_dir, lambda display, raw: _parse_bytes(raw, display)
-    )
-
-
 def check_file(
     path: Path,
     rules: tuple[LintRule, ...],
     root: Path,
     cache: ResultCache | None = None,
-    project: ProjectAnalysis | None = None,
     fingerprint: str | None = None,
 ) -> tuple[list[Diagnostic], int]:
     """Analyse one file; returns (kept findings, inline-suppressed count)."""
@@ -138,8 +95,6 @@ def check_file(
     if cache is not None:
         if fingerprint is None:
             fingerprint = rule_fingerprint(rules)
-            if project is not None:
-                fingerprint = f"{fingerprint}|{project.digest}"
         key = cache.key(display, raw, fingerprint)
         hit = cache.get(key)
         if hit is not None:
@@ -163,7 +118,6 @@ def check_file(
         tree=tree,
         pragmas=pragmas,
         module_parts=module_parts_of(path.resolve().parts),
-        project=project,
     )
     found: list[Diagnostic] = [
         Diagnostic(display, err.line, err.col, "bad-pragma", err.detail)
@@ -219,33 +173,20 @@ def lint_paths(
     anchor = root if root is not None else Path.cwd()
 
     files = discover_files(paths)
-
-    # Interprocedural pre-pass: built once, shared (read-only) by every
-    # worker. Skipped entirely when no active rule consumes it, so a
-    # targeted ``--select`` run keeps the old intra-procedural cost.
-    project: ProjectAnalysis | None = None
-    if any(rule.requires_project for rule in active_rules):
-        project = build_project(
-            files, anchor, cache.directory if cache is not None else None
-        )
     fingerprint = rule_fingerprint(active_rules)
-    if project is not None:
-        fingerprint = f"{fingerprint}|{project.digest}"
 
     diagnostics: list[Diagnostic] = []
     suppressed = 0
     if workers <= 1 or len(files) <= 1:
         per_file = [
-            check_file(f, active_rules, anchor, cache, project, fingerprint)
+            check_file(f, active_rules, anchor, cache, fingerprint)
             for f in files
         ]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_file = list(
                 pool.map(
-                    lambda f: check_file(
-                        f, active_rules, anchor, cache, project, fingerprint
-                    ),
+                    lambda f: check_file(f, active_rules, anchor, cache, fingerprint),
                     files,
                 )
             )

@@ -29,10 +29,6 @@ class LintRule:
     #: cached findings (the names alone cannot express "same rule,
     #: different analysis").
     version: str = "1"
-    #: True when the rule consumes the interprocedural project (call
-    #: graph + summaries); the engine builds it only when some active
-    #: rule needs it, keeping intra-procedural runs at their old cost.
-    requires_project: bool = False
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
         raise NotImplementedError
@@ -68,16 +64,9 @@ def dotted_name(node: ast.AST) -> str | None:
 
 def all_rules() -> tuple[LintRule, ...]:
     """Every registered rule, in catalogue order."""
-    from repro.lint.rules import (
-        concurrency,
-        determinism,
-        hygiene,
-        lifecycle,
-        locks,
-        units,
-    )
+    from repro.lint.rules import determinism, hygiene, locks, units
 
-    modules = (determinism, units, locks, hygiene, lifecycle, concurrency)
+    modules = (determinism, units, locks, hygiene)
     out: list[LintRule] = []
     for module in modules:
         out.extend(module.RULES)

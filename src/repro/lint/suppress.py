@@ -1,6 +1,6 @@
 """Inline ``# reprolint:`` pragma parsing.
 
-Four pragma forms, all attached to the physical line they appear on:
+Three pragma forms, all attached to the physical line they appear on:
 
 ``# reprolint: disable=rule-a,rule-b``
     Suppress the named rules (or ``all``) for findings anchored to this
@@ -16,12 +16,6 @@ Four pragma forms, all attached to the physical line they appear on:
     Lock-discipline intent: this access (or attribute, when placed on
     its ``__init__`` assignment) is deliberately unsynchronised —
     e.g. it is only ever touched before worker threads exist.
-
-``# reprolint: moves(name[,name...])``
-    Ownership-transfer intent: the statement on this line hands the
-    named local values to a consumer that now owns them (e.g. a session
-    registered with a scheduler that will close it). ``resource-leak``
-    stops requiring release of those names on this path.
 
 Pragmas are parsed from real COMMENT tokens via :mod:`tokenize`, so a
 ``# reprolint:`` inside a string literal is never misread as a pragma.
@@ -41,9 +35,6 @@ __all__ = ["LinePragmas", "PragmaError", "scan_pragmas"]
 
 _PRAGMA_RE = re.compile(r"#\s*reprolint:\s*(?P<body>.*\S)\s*$")
 _GUARDED_RE = re.compile(r"guarded-by\((?P<lock>[A-Za-z_][A-Za-z0-9_]*)\)$")
-_MOVES_RE = re.compile(
-    r"moves\((?P<names>[A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*)\)$"
-)
 _RULE_NAME_RE = re.compile(r"[a-z][a-z0-9-]*$")
 
 
@@ -54,7 +45,6 @@ class LinePragmas:
     disabled: frozenset[str] = frozenset()
     guarded_by: tuple[str, ...] = ()
     unguarded_ok: bool = False
-    moves: tuple[str, ...] = ()
 
     def suppresses(self, rule: str) -> bool:
         """True when this line disables ``rule`` (or everything)."""
@@ -75,14 +65,12 @@ class _Builder:
     disabled: set[str] = field(default_factory=set)
     guarded_by: list[str] = field(default_factory=list)
     unguarded_ok: bool = False
-    moves: list[str] = field(default_factory=list)
 
     def freeze(self) -> LinePragmas:
         return LinePragmas(
             disabled=frozenset(self.disabled),
             guarded_by=tuple(self.guarded_by),
             unguarded_ok=self.unguarded_ok,
-            moves=tuple(self.moves),
         )
 
 
@@ -109,14 +97,6 @@ def _parse_body(
                 )
                 continue
             builder.guarded_by.append(match.group("lock"))
-        elif token.startswith("moves"):
-            match = _MOVES_RE.fullmatch(token)
-            if match is None:
-                errors.append(
-                    PragmaError(line, col, f"malformed moves pragma: {token!r}")
-                )
-                continue
-            builder.moves.extend(match.group("names").split(","))
         else:
             errors.append(
                 PragmaError(line, col, f"unknown reprolint pragma: {token!r}")

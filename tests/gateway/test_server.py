@@ -15,10 +15,14 @@ the subsystem's central claims:
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import struct
+import sys
 import zlib
 
 import numpy as np
+import pytest
 
 from repro.core.realtime import RealTimeBlinkDetector
 from repro.fleet.scheduler import FleetScheduler
@@ -67,11 +71,12 @@ class TestEndToEnd:
             return record_dir, stats
 
         record_dir, stats = asyncio.run(scenario())
-        source_hash = TraceReader(gateway_trace_path).content_hash()
-        recorded = TraceReader(record_dir / "v00.rst")
-        assert recorded.content_hash() == source_hash
-        assert stats["dropped_queue"] == 0
-        assert stats["processed"] == recorded.n_frames
+        with TraceReader(gateway_trace_path) as source:
+            source_hash = source.content_hash()
+        with TraceReader(record_dir / "v00.rst") as recorded:
+            assert recorded.content_hash() == source_hash
+            assert stats["dropped_queue"] == 0
+            assert stats["processed"] == recorded.n_frames
         # The finalized recording is registered in the catalog.
         catalog = Catalog(record_dir)
         assert "v00" in catalog
@@ -407,9 +412,41 @@ class TestLifecycle:
             return record_dir
 
         record_dir = asyncio.run(scenario())
-        recorded = TraceReader(record_dir / "live.rst")
-        assert recorded.n_frames == 50
+        with TraceReader(record_dir / "live.rst") as recorded:
+            assert recorded.n_frames == 50
         assert "live" in Catalog(record_dir)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="no loop signal handlers on Windows")
+    def test_sigterm_drains_and_shuts_down(self, gateway_trace_path, tmp_path):
+        """The production stop path: ``run_until_signal`` turns SIGTERM
+        into a graceful shutdown that still processes and records every
+        frame already sent."""
+
+        async def scenario():
+            record_dir = tmp_path / "rec"
+            server = GatewayServer(backend=FleetScheduler(workers=1), record_dir=record_dir)
+            await server.start()
+            serving = asyncio.ensure_future(server.run_until_signal())
+            await asyncio.sleep(0)  # its handlers go in before its first await
+            client = await GatewayClient.connect(server.host, server.port)
+            with ReplaySource(gateway_trace_path) as source:
+                await client.hello(
+                    "sig", n_bins=source.n_bins, frame_rate_hz=source.frame_rate_hz
+                )
+                for seq, (stamp_s, frame) in enumerate(source):
+                    if seq >= 40:
+                        break
+                    await client.send_frame(seq, stamp_s, frame)
+            os.kill(os.getpid(), signal.SIGTERM)
+            await serving
+            await client.close()
+            return server, record_dir
+
+        server, record_dir = asyncio.run(scenario())
+        assert server.health()["status"] == "stopped"
+        with TraceReader(record_dir / "sig.rst") as recorded:
+            assert recorded.n_frames == 40
+        assert "sig" in Catalog(record_dir)
 
     def test_empty_session_leaves_no_recording(self, tmp_path):
         async def scenario():

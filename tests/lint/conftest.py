@@ -14,8 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import Diagnostic, LintResult, lint_paths
-from repro.lint.cfg import CFG, Element
-from repro.lint.dataflow import Analysis, element_defs_uses
 
 
 class SnippetLinter:
@@ -57,26 +55,3 @@ def repo_root() -> Path:
     root = Path(__file__).resolve().parents[2]
     assert (root / "src" / "repro").is_dir()
     return root
-
-
-class BoundNames(Analysis["frozenset[str]"]):
-    """Names that may be bound at a point: a minimal forward analysis
-    for exercising the solver on hand-checkable CFGs."""
-
-    def boundary(self, cfg: CFG) -> frozenset[str]:
-        return frozenset()
-
-    def initial(self, cfg: CFG) -> frozenset[str]:
-        return frozenset()
-
-    def join(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-        return a | b
-
-    def transfer(self, element: Element, state: frozenset[str]) -> frozenset[str]:
-        defs, _ = element_defs_uses(element)
-        return state | defs if defs else state
-
-
-@pytest.fixture
-def bound_names() -> type[BoundNames]:
-    return BoundNames

@@ -84,34 +84,6 @@ class TestResultCache:
         lint_paths([target], rules=rules, jobs=1, root=tmp_path, cache=warm)
         assert (warm.hits, warm.misses) == (1, 0)
 
-    def test_summaries_version_bump_invalidates_warm_entries(
-        self, tmp_path, monkeypatch
-    ):
-        """An analysis-domain change (a new summary field, a different
-        propagation) must flush warm entries even when no rule version
-        moved: the summaries version is folded into both the persisted
-        store gate and the per-file result fingerprint."""
-        import repro.lint.summaries as summaries_mod
-
-        target = _write_tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        lint_paths([target], jobs=1, root=tmp_path, cache=ResultCache(cache_dir))
-
-        monkeypatch.setattr(summaries_mod, "SUMMARIES_VERSION", "test-bump")
-        monkeypatch.setattr(
-            summaries_mod,
-            "_STORE_VERSION",
-            f"{summaries_mod.CALLGRAPH_VERSION}|test-bump",
-        )
-        after = ResultCache(cache_dir)
-        lint_paths([target], jobs=1, root=tmp_path, cache=after)
-        assert (after.hits, after.misses) == (0, 1)
-
-        monkeypatch.undo()
-        warm = ResultCache(cache_dir)
-        lint_paths([target], jobs=1, root=tmp_path, cache=warm)
-        assert (warm.hits, warm.misses) == (1, 0)
-
     def test_corrupt_entries_degrade_to_misses(self, tmp_path):
         target = _write_tree(tmp_path)
         cache_dir = tmp_path / "cache"

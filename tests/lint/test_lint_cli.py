@@ -100,8 +100,6 @@ class TestCliSurface:
             "mutable-default",
             "except-hygiene",
             "or-default",
-            "resource-leak",
-            "blocking-in-async",
         ]
 
     def test_registry_names_are_unique_and_documented(self):
@@ -162,46 +160,6 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert exit_code == 2
         assert "parse-error" in out
-
-
-class TestStats:
-    def test_stats_reports_pragmas_and_resolution(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "repro/sim/mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(
-            "import time\n"
-            "def slow():  # reprolint: disable=wall-clock\n"
-            "    return time.time()\n"
-            "def top():\n"
-            "    return slow()\n"
-        )
-        exit_code = repro_main(["lint", "repro", "--stats"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "pragma inventory (1 files scanned)" in out
-        assert "disable=wall-clock  1" in out
-        assert "call resolution" in out
-        assert "internal" in out and "external" in out
-
-    def test_stats_ignores_the_result_cache(self, tmp_path, capsys, monkeypatch):
-        # The inventory is a fresh tokenize scan: a warm cache from a
-        # pre-pragma run must not hide a pragma added afterwards.
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "repro/sim/mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("def f():\n    pass\n")
-        assert repro_main(["lint", "repro", "--cache"]) == 0
-        capsys.readouterr()
-        target.write_text("def f():  # reprolint: disable=wall-clock\n    pass\n")
-        assert repro_main(["lint", "repro", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "disable=wall-clock  1" in out
-
-    def test_stats_rejects_missing_paths(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match="no such path"):
-            repro_main(["lint", "nowhere", "--stats"])
 
 
 class TestEngineParallelism:

@@ -132,7 +132,7 @@ def _sample_diagnostics() -> list[Diagnostic]:
     return [
         Diagnostic("src/repro/sim/a.py", 10, 4, "wall-clock", "no clocks"),
         Diagnostic("src/repro/sim/b.py", 1, 0, "parse-error", "syntax error: bad"),
-        Diagnostic("src/repro/fleet/c.py", 7, 2, "resource-leak", "join your threads"),
+        Diagnostic("src/repro/fleet/c.py", 7, 2, "guarded-by", "take the lock"),
     ]
 
 
@@ -151,7 +151,7 @@ class TestSarifOutput:
         ids = {rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]}
         expected = {rule.name for rule in all_rules()}
         assert ids == expected
-        assert {"wall-clock", "resource-leak", "blocking-in-async"} <= ids
+        assert {"wall-clock", "guarded-by", "or-default"} <= ids
 
     def test_rule_index_points_at_the_right_rule(self):
         log = json.loads(render_sarif(_result_with(_sample_diagnostics()), all_rules()))
