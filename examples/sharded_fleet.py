@@ -9,8 +9,8 @@ process boundary. Then a worker is SIGKILLed mid-stream to show the
 crash contract: the loss is counted and bounded to the dead shard's
 in-flight frames, its sessions are re-homed onto a fresh worker and
 keep processing, and sessions on surviving shards lose nothing.
-Finally the parent's metrics registry — aggregated from worker deltas —
-renders the whole run.
+Finally the parent's metrics registry — counted from the events and
+batches the workers report — renders the whole run.
 
 Run:
     python examples/sharded_fleet.py

@@ -14,7 +14,7 @@ deployed BlinkRadar fleet needs:
   :func:`run_to_completion`, the one pump that drives simulated sessions
   through either.
 - :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, the thread-pool
-  backend with bounded per-session queues and drop-oldest backpressure.
+  backend with bounded per-session queues and drop-newest backpressure.
 - :mod:`repro.fleet.service` — :class:`FleetService`, spawn/stop/restart,
   aggregated typed events, health snapshots, over one backend object.
 - :mod:`repro.fleet.events` — the typed event records.

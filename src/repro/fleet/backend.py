@@ -18,19 +18,25 @@ Contract, for either backend:
   backend thread after each batch of the session's frames has left the
   pipeline, once the backend's own accounting for it is done.
 - ``submit(session_id, item)`` never blocks. It returns True when the
-  frame was queued without shedding and False when backpressure shed a
-  frame (:func:`account_queue` counts and events it). Every frame
-  submitted is either processed or counted as shed.
+  frame was queued and False when the session's queue (threaded) or its
+  shard's ring (sharded) was full: the *arriving* frame is refused, so
+  accepted frames leave in submit order (:func:`account_queue` events
+  the refusal). Every frame submitted is either processed or counted as
+  shed.
 - ``drained(session_id)`` is True once every accepted frame of the
   session has left the pipeline; ``idle()`` is the same for every
   session. ``detach(session_id)`` unregisters a session and returns the
   number of accepted frames it lost (0 after ``drained()``).
 - Every call naming an unknown session id raises :class:`KeyError`.
 
-Documented deviations (``docs/fleet.md``): the threaded scheduler sheds
-the *oldest* queued frame and allows ``attach`` before ``start``; the
-sharded fleet sheds the *arriving* frame, requires ``start`` first, and
-its ``detach`` flushes the session's pending detection state worker-side.
+Every session counter is counted by the session, from its events and
+batches (``_emit``, ``_record_batch``); a shard worker ships both, and
+the parent replays them through the same two methods.
+
+Documented deviations (``docs/fleet.md``): the threaded scheduler allows
+``attach`` before ``start``; the sharded fleet requires ``start`` first,
+and its ``detach`` flushes the session's pending detection state
+worker-side.
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ __all__ = ["ServeBackend", "account_queue", "run_to_completion"]
 class ServeBackend(Protocol):
     """What the gateway and the fleet service need from a detector pool."""
 
-    #: Registry every backend-side metric lands in (worker-process deltas
-    #: included); the gateway's ``/metrics`` endpoint renders it.
+    #: Registry every backend-side metric lands in (queue gauges, shard
+    #: crashes); the gateway's ``/metrics`` endpoint renders it, and the
+    #: sessions it serves share it for their counters.
     metrics: MetricsRegistry
 
     def start(self) -> None: ...
@@ -80,20 +87,17 @@ def account_queue(
     """Record a session's queue after frames entered or left it.
 
     Sets ``session.<id>.queue_depth`` to ``depth`` (accepted frames not
-    yet out of the pipeline). ``shed`` is the frame a submit shed, if
-    any: the loss lands on ``session.<id>.dropped_queue`` and
-    ``fleet.dropped_queue`` and as ``FrameDropEvent(where="queue")``
-    stamped with that frame's device time. Both backends call this
-    under their own lock, so gauge writes land in the order their
-    depths were taken and a drained session reads 0.
+    yet out of the pipeline). ``shed`` is the arriving frame a submit
+    refused, if any: the session gets ``FrameDropEvent(where="queue")``
+    stamped with that frame's device time, which its ``_emit`` counts
+    on ``dropped_queue``. Both backends call this under their own lock,
+    so gauge writes land in the order their depths were taken and a
+    drained session reads 0.
     """
     sid = session.session_id
     metrics.gauge(f"session.{sid}.queue_depth").set(depth)
-    if shed is None:
-        return
-    metrics.counter(f"session.{sid}.dropped_queue").inc()
-    metrics.counter("fleet.dropped_queue").inc()
-    session._emit(FrameDropEvent(sid, shed[1], 1, where="queue"))
+    if shed is not None:
+        session._emit(FrameDropEvent(sid, shed[1], 1, where="queue"))
 
 
 def run_to_completion(

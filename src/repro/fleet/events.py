@@ -104,8 +104,12 @@ class FrameDropEvent(FleetEvent):
         How many frames this record accounts for.
     where:
         ``"fifo"`` (device FIFO overflow / reset flush), ``"queue"``
-        (scheduler backpressure, drop-oldest), or ``"stale"`` (queued
-        before a restart, flushed instead of fed to the new detector).
+        (the arriving frame, refused at admission because the session's
+        queue or shard ring was full), ``"stale"`` (queued before a
+        restart, flushed instead of fed to the new detector), or
+        ``"crash"`` (accepted, then lost with a shard worker that died
+        before reporting it). The session counts ``n_dropped`` on
+        ``dropped_<where>``.
     """
 
     n_dropped: int

@@ -16,10 +16,10 @@ Two invariants make this correct and deterministic per session:
 - **Per-session FIFO order.** Frames for one session are processed in
   submit order: each session has its own queue, and a claim flag
   guarantees at most one worker works a given session at a time.
-- **Explicit backpressure.** When a queue is full the *oldest* frame is
-  dropped (freshest-data-wins, the right policy for a live detector
-  whose cold start already tolerates gaps) and the loss is counted —
-  never silent, never unbounded memory.
+- **Explicit backpressure.** When a queue is full the *arriving* frame
+  is refused and counted — never silent, never unbounded memory — so
+  accepted frames leave in submit order, as on the sharded ring: that
+  is what makes the gateway's ACK watermark exact.
 
 ``submit`` never blocks on a slow session; a session's losses stay its
 own. Detector math is numpy-heavy and releases the GIL, so the pool
@@ -67,15 +67,15 @@ class FleetScheduler:
     workers:
         Worker threads processing frames (detector side).
     queue_depth:
-        Per-session queue bound; beyond it the oldest queued frame is
-        dropped and counted. The bound is a *memory cap*, not a rate
+        Per-session queue bound; beyond it the arriving frame is refused
+        and counted. The bound is a *memory cap*, not a rate
         matcher: an unpaced producer always outruns the detectors, so
         set the depth below the expected frame count only when load
         shedding is the intent (the default holds ~2.7 min of 25 FPS
         frames losslessly).
     metrics:
-        Shared registry (``session.<id>.dropped_queue``,
-        ``session.<id>.queue_depth``, ``fleet.dropped_queue``).
+        Shared registry (``session.<id>.queue_depth``; the sessions
+        count their own ``dropped_queue``).
     """
 
     def __init__(
@@ -137,24 +137,24 @@ class FleetScheduler:
     def submit(self, session_id: str, item: FrameItem) -> bool:
         """Non-blocking ingestion of one produced frame item.
 
-        Bounded queue with drop-oldest backpressure, accounted by
-        :func:`~repro.fleet.backend.account_queue`, and wakes a worker.
-        Returns True when the frame was accepted without shedding, False
-        when the oldest queued frame had to be dropped to make room.
-        Never blocks on a full queue and is safe to call from any thread
-        (including an asyncio event loop thread).
+        Bounded queue, accounted by
+        :func:`~repro.fleet.backend.account_queue`; an accepted frame
+        wakes a worker. Returns True when the frame was queued, False
+        when the queue was full and this frame was refused. Never blocks
+        on a full queue and is safe to call from any thread (including
+        an asyncio event loop thread).
         """
         with self._cond:
             slot = self._slots.get(session_id)
             if slot is None:
                 raise KeyError(f"unknown session id {session_id!r}")
-            shed: FrameItem | None = None
             if len(slot.queue) >= self.queue_depth:
-                shed, _ = slot.queue.popleft()  # drop-oldest: freshest data wins
+                account_queue(self.metrics, slot.session, len(slot.queue), shed=item)
+                return False
             slot.queue.append((item, time.perf_counter()))
             self._cond.notify()
-            account_queue(self.metrics, slot.session, len(slot.queue), shed)
-        return shed is None
+            account_queue(self.metrics, slot.session, len(slot.queue))
+        return True
 
     def start(self) -> None:
         """Start the worker pool; pair with :meth:`stop`."""
@@ -216,7 +216,7 @@ class FleetScheduler:
                 if slot is None:
                     if not self._serving and all(not s.queue for s in self._slots.values()):
                         return
-                    self._cond.wait(timeout=0.05)
+                    self._cond.wait()
                     continue
                 batch = [slot.queue.popleft() for _ in range(min(batch_max, len(slot.queue)))]
                 account_queue(self.metrics, slot.session, len(slot.queue))
@@ -230,7 +230,11 @@ class FleetScheduler:
             finally:
                 with self._cond:
                     slot.claimed = False
-                    if slot.queue:
+                    if not self._serving:
+                        # Stopping: a worker that slept while this one
+                        # held the last backlog must wake to exit.
+                        self._cond.notify_all()
+                    elif slot.queue:
                         self._cond.notify()
                 # Only after the claim is released: a caller the hook
                 # wakes must already see drained() hold.

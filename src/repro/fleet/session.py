@@ -135,7 +135,8 @@ class DetectorSession:
         (e.g. :class:`~repro.fleet.faults.SpiFaultInjector`).
     metrics:
         Shared registry; the session records under ``session.<id>.*``
-        and aggregates under ``fleet.*``.
+        and aggregates under ``fleet.*``, only in :meth:`_emit` and
+        :meth:`_record_batch`.
     sink:
         Callable receiving every :class:`~repro.fleet.events.FleetEvent`
         (the service's aggregated log). Events are also kept locally in
@@ -195,10 +196,11 @@ class DetectorSession:
         self._last_alert_time_s = float("-inf")
 
         self.events: list[FleetEvent] = []
+        #: Written only by :meth:`_emit` (and ``frames_processed`` only
+        #: by :meth:`_record_batch`), like the counters they mirror.
         self.blink_events: list[BlinkEvent] = []
         self.frames_processed = 0
-        #: Accepted frames a serve backend lost to a worker crash (the
-        #: sharded backend's ``session.<id>.dropped_crash``).
+        #: Accepted frames a serve backend lost to a worker crash.
         self.dropped_crash = 0
         self.restarts = 0
 
@@ -245,9 +247,44 @@ class DetectorSession:
         return [e.time_s for e in self.blink_events]
 
     def _emit(self, event: FleetEvent) -> None:
+        """Log one event and count it: the only writer of every event counter.
+
+        A ``FrameDropEvent(where=w)`` adds its frames to ``dropped_<w>``;
+        a blink, drowsy alert, fault or restart adds one to ``blinks``,
+        ``drowsy_alerts``, ``faults`` or ``restarts``.
+        """
+        if isinstance(event, FrameDropEvent):
+            self._count(f"dropped_{event.where}", event.n_dropped)
+            if event.where == "crash":
+                self.dropped_crash += event.n_dropped
+        elif isinstance(event, BlinkEvent):
+            self.blink_events.append(event)
+            self._count("blinks")
+        elif isinstance(event, RestartEvent):
+            self.restarts += 1
+            self._count("restarts")
+        elif isinstance(event, DrowsyAlertEvent):
+            self._count("drowsy_alerts")
+        elif isinstance(event, FaultEvent):
+            self._count("faults")
         self.events.append(event)
         if self._sink is not None:
             self._sink(event)
+
+    def _record_batch(self, n_frames: int, latencies: list[float]) -> None:
+        """Count one processed batch and observe its enqueue-to-done latencies."""
+        self.frames_processed += n_frames
+        self._count("frames_processed", n_frames)
+        if latencies:
+            own = self.metrics.histogram(f"session.{self.session_id}.latency_s")
+            fleet = self.metrics.histogram("fleet.latency_s")
+            for latency in latencies:
+                own.observe(latency)
+                fleet.observe(latency)
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        self._metric(name).inc(amount)
+        self.metrics.counter(f"fleet.{name}").inc(amount)
 
     def _transition(self, new_state: SessionState, at_s: float | None = None) -> None:
         # at_s: device-time stamp; worker-side transitions pass the time
@@ -308,8 +345,6 @@ class DetectorSession:
         self._transition(SessionState.COLD_START)
 
     def _note_fault(self, detail: str, terminal: bool = False) -> None:
-        self._metric("faults").inc()
-        self.metrics.counter("fleet.faults").inc()
         self._emit(FaultEvent(self.session_id, self.time_s, detail, terminal=terminal))
 
     def _enter_degraded(self) -> None:
@@ -385,8 +420,6 @@ class DetectorSession:
         if dropped > self._drops_reported:
             delta = dropped - self._drops_reported
             self._drops_reported = dropped
-            self._metric("dropped_fifo").inc(delta)
-            self.metrics.counter("fleet.dropped_fifo").inc(delta)
             self._emit(FrameDropEvent(self.session_id, self.time_s, delta, where="fifo"))
 
     def _recover(self, reason: str) -> None:
@@ -410,12 +443,7 @@ class DetectorSession:
                 self._enter_degraded()
             return
         if lost > 0:
-            self._metric("dropped_fifo").inc(lost)
-            self.metrics.counter("fleet.dropped_fifo").inc(lost)
             self._emit(FrameDropEvent(self.session_id, self.time_s, lost, where="fifo"))
-        self.restarts += 1
-        self._metric("restarts").inc()
-        self.metrics.counter("fleet.restarts").inc()
         self._emit(RestartEvent(self.session_id, self.time_s, reason, attempts=attempts))
 
     # ------------------------------------------------------------ process side
@@ -483,27 +511,18 @@ class DetectorSession:
             return
         if generation != current:
             for _, time_s, _ in items:
-                self._metric("dropped_stale").inc()
-                self.metrics.counter("fleet.dropped_stale").inc()
                 self._emit(FrameDropEvent(self.session_id, time_s, 1, where="stale"))
             return
         statuses = detector.process_block(
             np.stack([frame for _, _, frame in items]), denoised=denoised
         )
         done_at = time.perf_counter()
-        self.frames_processed += len(statuses)
         self._last_det_index = statuses[-1].frame_index
-        self._metric("frames_processed").inc(len(statuses))
-        self.metrics.counter("fleet.frames_processed").inc(len(statuses))
-        for (_, time_s, _), status, enqueued_at in zip(items, statuses, enqueued_ats):
-            if enqueued_at is not None:
-                latency = done_at - enqueued_at
-                self.metrics.histogram(f"session.{self.session_id}.latency_s").observe(latency)
-                self.metrics.histogram("fleet.latency_s").observe(latency)
+        self._record_batch(
+            len(statuses), [done_at - t for t in enqueued_ats if t is not None]
+        )
+        for (_, time_s, _), status in zip(items, statuses):
             if status.restarted:
-                self.restarts += 1
-                self._metric("restarts").inc()
-                self.metrics.counter("fleet.restarts").inc()
                 self._emit(RestartEvent(self.session_id, time_s, reason="movement"))
             if status.event is not None:
                 # Stamp the blink at its apex in world time: LEVD
@@ -537,11 +556,7 @@ class DetectorSession:
             self._emit(StateChangeEvent(self.session_id, time_s, old.value, new_state.value))
 
     def _on_blink(self, time_s: float, frame_index: int, prominence: float) -> None:
-        event = BlinkEvent(self.session_id, time_s, frame_index, prominence)
-        self.blink_events.append(event)
-        self._emit(event)
-        self._metric("blinks").inc()
-        self.metrics.counter("fleet.blinks").inc()
+        self._emit(BlinkEvent(self.session_id, time_s, frame_index, prominence))
         window = self.config.drowsy_window_s
         times = self._blink_times
         times.append(time_s)
@@ -555,8 +570,6 @@ class DetectorSession:
         rate_bpm = len(times) * 60.0 / window
         if rate_bpm >= self.config.drowsy_rate_threshold_bpm:
             self._last_alert_time_s = time_s
-            self._metric("drowsy_alerts").inc()
-            self.metrics.counter("fleet.drowsy_alerts").inc()
             self._emit(
                 DrowsyAlertEvent(
                     self.session_id,
@@ -605,6 +618,8 @@ class DetectorSession:
             "frames_processed": self.frames_processed,
             "blinks": len(self.blink_events),
             "restarts": self.restarts,
-            "dropped_fifo": self._metric("dropped_fifo").value,
-            "dropped_queue": self._metric("dropped_queue").value,
+            **{
+                f"dropped_{where}": self._metric(f"dropped_{where}").value
+                for where in ("fifo", "queue", "stale", "crash")
+            },
         }

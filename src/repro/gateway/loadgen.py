@@ -77,7 +77,7 @@ class LoadReport:
 
     @property
     def dropped_queue(self) -> int:
-        """Total frames shed by drop-oldest backpressure."""
+        """Total frames shed by backpressure (refused on arrival)."""
         return sum(v.dropped_queue for v in self.vehicles)
 
     @property

@@ -147,7 +147,9 @@ class Ack:
     ``received_seq`` is the highest sequence number received so far and
     ``processed`` the total frames the detector has consumed — together
     they let a client separate transport latency from processing
-    latency and detect queue drops.
+    latency and detect queue drops: for a stream numbered from 0,
+    ``seq - processed`` counts the frames below the watermark that were
+    shed (or rejected as malformed, or lost to a shard crash).
     """
 
     session: int

@@ -83,6 +83,10 @@ _READ_POLL_S = 0.05
 #: the graceful way before cancelling the stragglers.
 _SHUTDOWN_GRACE_S = 5.0
 
+#: A receipt ACK goes out at least every this many frames, even when the
+#: watermark has not moved (keeps a slow consumer's client informed).
+_ACK_EVERY = 64
+
 
 class _Connection:
     """Server-side state for one vehicle connection."""
@@ -97,21 +101,24 @@ class _Connection:
         self.recorder: Recorder | None = None
         #: Highest sequence number received on this connection.
         self.received_seq = -1
-        #: Frames accepted onto the session queue (includes later drops).
+        #: Frames handed to the backend (accepted or refused).
         self.submitted = 0
-        #: Frames the backend shed at submit time (backpressure).
+        #: Frames the backend refused at submit time (backpressure).
         self.dropped_queue = 0
+        #: Highest sequence number the backend refused.
+        self.shed_seq = -1
         #: Frames rejected before the queue (bad payload size/dtype).
         self.bad_frames = 0
-        #: Sequence numbers of submitted frames, in submit order, not
-        #: yet covered by a completion ack.
+        #: Sequence numbers of accepted frames, in submit order, not yet
+        #: covered by a completion ack.
         self.pending_seqs: list[int] = []
         self._pending_start = 0
-        #: Completion count already acked (acks carry counts, not
-        #: indices, so "nothing done yet" is a plain 0 on an unsigned
-        #: wire field).
+        #: Watermark already acked (one past the newest finished seq, so
+        #: "nothing done yet" is a plain 0 on an unsigned wire field),
+        #: and the processed count it was taken with.
         self.acked_completed = 0
-        #: ``received_seq`` as of the last ack (``ack_every`` counts
+        self.acked_processed = 0
+        #: ``received_seq`` as of the last ack (``_ACK_EVERY`` counts
         #: from here).
         self.received_acked = -1
         self._loop = asyncio.get_running_loop()
@@ -150,36 +157,36 @@ class _Connection:
         return self._wake
 
     # ------------------------------------------------------------ accounting
-    def consumed_frames(self) -> int:
-        """Frames that have left the pipeline (processed or shed).
-
-        The watermark treats this count as a prefix of the submit order.
-        That is exact on the threaded backend: its queue is FIFO with
-        drop-oldest, so consumption always takes the *front*. The
-        sharded ring sheds the *arriving* frame instead, so while earlier
-        frames are still queued the count runs ahead of processing by the
-        number of frames shed, and the ACK covers that many unprocessed
-        frames early (an open ROADMAP item). Frames a shard crash lost
-        count as well: they will never be processed.
-        """
-        session = self.session
-        if session is None:
-            return 0
-        return session.frames_processed + self.dropped_queue + session.dropped_crash
-
     def completion_watermark(self) -> int | None:
         """Wire watermark: one past the seq of the newest finished frame.
 
-        Returns None when nothing new finished since the last call.
+        An accepted frame finishes when it is processed or lost to a
+        shard crash. Both backends refuse the *arriving* frame when
+        full, so accepted frames finish in submit order: the finished
+        count is a prefix of ``pending_seqs``. A refused frame finishes
+        at once, but it is covered only once no accepted frame is in
+        flight, so the watermark never covers an unfinished frame.
+        Returns None when it did not move since the last call.
         """
-        done = self.consumed_frames() - self._pending_start
-        if done <= 0:
+        session = self.session
+        if session is None:
             return None
-        index = min(done, len(self.pending_seqs)) - 1
-        watermark = self.pending_seqs[index] + 1
-        # Retire the covered prefix so the list stays O(queue depth).
-        del self.pending_seqs[: index + 1]
-        self._pending_start += index + 1
+        # Read once and acked with the watermark, so ``seq - processed``
+        # counts exactly the frames below it refused, rejected or lost.
+        self.acked_processed = session.frames_processed
+        finished = self.acked_processed + session.dropped_crash
+        done = min(finished - self._pending_start, len(self.pending_seqs))
+        watermark = self.acked_completed
+        if done > 0:
+            watermark = max(watermark, self.pending_seqs[done - 1] + 1)
+            # Retire the covered prefix so the list stays O(queue depth).
+            del self.pending_seqs[:done]
+            self._pending_start += done
+        if not self.pending_seqs:
+            watermark = max(watermark, self.shed_seq + 1)
+        if watermark == self.acked_completed:
+            return None
+        self.acked_completed = watermark
         return watermark
 
     def stats(self) -> dict[str, Any]:
@@ -225,10 +232,6 @@ class GatewayServer:
         directory's catalog on session close.
     session_config:
         Shared fleet policy for every connection's session.
-    ack_every:
-        Send a receipt ack at least every this many frames even when
-        the completion watermark has not moved (keeps a slow consumer's
-        client informed).
     """
 
     def __init__(
@@ -239,17 +242,13 @@ class GatewayServer:
         backend: ServeBackend | None = None,
         record_dir: str | Path | None = None,
         session_config: SessionConfig | None = None,
-        ack_every: int = 64,
     ) -> None:
-        if ack_every < 1:
-            raise ValueError(f"ack_every must be >= 1, got {ack_every}")
         self.host = host
         self._requested_port = port
         self.scheduler: ServeBackend = backend if backend is not None else FleetScheduler()
         self.metrics = self.scheduler.metrics
         self.session_config = session_config
         self.record_dir = Path(record_dir) if record_dir is not None else None
-        self.ack_every = ack_every
         self.sessions: dict[str, IngestSession] = {}
         # Serializes catalog registration: session finalizations run on
         # executor threads and may overlap, but the catalog manifest is
@@ -430,8 +429,8 @@ class GatewayServer:
             return True
         if isinstance(msg, Frame):
             self._handle_frame(conn, msg)
-            if conn.received_seq - conn.received_acked >= self.ack_every:
-                # Receipt ack: ack_every frames arrived since the last ack.
+            if conn.received_seq - conn.received_acked >= _ACK_EVERY:
+                # Receipt ack: _ACK_EVERY frames arrived since the last ack.
                 self._write_ack(conn, writer)
                 await writer.drain()
             return True
@@ -526,10 +525,12 @@ class GatewayServer:
             session.session_id, session.make_item(msg.timestamp_s, frame)
         )
         conn.submitted += 1
-        conn.pending_seqs.append(msg.seq)
-        if not accepted:
+        if accepted:
+            conn.pending_seqs.append(msg.seq)
+        else:
             conn.dropped_queue += 1
-            # A shed frame moves the watermark with no batch finishing.
+            conn.shed_seq = max(conn.shed_seq, msg.seq)
+            # A refused frame may move the watermark with no batch finishing.
             conn.on_completion()
         self.metrics.counter("gateway.frames_received").inc()
 
@@ -537,19 +538,16 @@ class GatewayServer:
         """Write an ack if the watermark moved or a receipt ack is due.
 
         The receipt ack goes out when the receipt count ran ahead by
-        ``ack_every`` frames, so the client's flow-control view never
+        ``_ACK_EVERY`` frames, so the client's flow-control view never
         staleness-locks. Synchronous: a watermark is on the writer the
         moment it is taken, ahead of anything written after it.
         """
-        session = conn.session
-        if session is None:
+        if conn.session is None:
             return False
         watermark = conn.completion_watermark()
-        overdue = conn.received_seq - conn.received_acked >= self.ack_every
+        overdue = conn.received_seq - conn.received_acked >= _ACK_EVERY
         if watermark is None and not overdue:
             return False
-        if watermark is not None:
-            conn.acked_completed = max(conn.acked_completed, watermark)
         conn.received_acked = conn.received_seq
         writer.write(
             encode_message(
@@ -557,7 +555,7 @@ class GatewayServer:
                     session=conn.session_index,
                     seq=conn.acked_completed,
                     received_seq=max(conn.received_seq, 0),
-                    processed=session.frames_processed,
+                    processed=conn.acked_processed,
                 )
             )
         )

@@ -11,8 +11,8 @@ detector side into worker *processes*, each owning a shard of sessions:
   CRC-32 over header and payload), so payloads are checksummed and the
   worker consumes them zero-copy straight out of shared memory.
 - A small pickle-over-pipe control plane (:mod:`repro.shard.messages`)
-  handles attach/detach/drain/stop, ships per-tick results and metric
-  deltas back, and heartbeats each shard.
+  handles attach/detach/drain/stop, ships each tick's session events
+  and batches back for the parent to count, and heartbeats each shard.
 - Each worker drains its ring into one fused stage-1 kernel launch per
   tick (the cross-session row-matrix batching of
   :class:`~repro.core.batched.BatchedPipeline`), then runs the stateful

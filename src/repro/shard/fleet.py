@@ -14,18 +14,18 @@ Topology::
     submit() ──encode──▶ ShmRing[shard] ──▶ drain tick ─▶ fused stage-1
                                            │              + stateful walks
     supervisor thread ◀── pipe ─────────── ShardReport / heartbeat
-      │ apply results, metrics deltas,
-      │ events onto parent sessions
+      │ replay events and batches
+      │ onto parent sessions
       └─ crash watch: respawn + re-home
 
 Accounting invariants:
 
 - Every submitted frame is **accepted** (pushed onto its shard's ring)
-  or **dropped** (ring full — counted and evented by the shared
-  :func:`~repro.fleet.backend.account_queue`, ``submit`` returns
-  False). Every accepted frame is eventually **consumed** (the worker
-  processed or stale-flushed it) or — only if its shard dies first —
-  counted as a crash loss. ``drained(sid)`` is exactly
+  or **refused** (ring full — evented by the shared
+  :func:`~repro.fleet.backend.account_queue`, ``submit`` returns False,
+  as on the threaded backend). Every accepted frame is eventually
+  **consumed** (the worker processed or stale-flushed it) or — only if
+  its shard dies first — counted as a crash loss. ``drained(sid)`` is exactly
   ``consumed >= accepted``, and reports ship *after* processing, so a
   drained session's results are already visible parent-side.
 - A SIGKILLed worker costs only the frames it took off its ring but
@@ -34,9 +34,10 @@ Accounting invariants:
   a replacement shard, re-homes the dead shard's sessions onto it, and
   moves the dead ring's unconsumed slots onto the replacement's ring —
   the parent owns both segments, so frames accepted after the kill are
-  not lost either. It counts the rest (``fleet.dropped_crash``) and
-  fails any parent call waiting on the dead worker; sessions on other
-  shards never stall, and no parent call blocks unboundedly. Liveness
+  not lost either. It charges the rest to the sessions as
+  ``FrameDropEvent(where="crash")`` and fails any parent call waiting
+  on the dead worker; sessions on other shards never stall, and no
+  parent call blocks unboundedly. Liveness
   is never checked on ``submit()``: frames for a dead shard simply wait
   in its ring until the re-home.
 - A session's :class:`AttachMsg` is sent before ``submit()`` can reach
@@ -48,6 +49,9 @@ Accounting invariants:
   ``drained()``, ``frames_processed`` and ``dropped_crash`` already
   account for the batch. The same move rewrites the session's
   ``queue_depth`` gauge, so a drained session reads 0.
+- Workers count nothing: the parent replays each report's events and
+  batches through its session's ``_emit`` and ``_record_batch``, the
+  two methods that count on the threaded backend too.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from typing import Any
 import numpy as np
 
 from repro.fleet.backend import account_queue
-from repro.fleet.events import BlinkEvent, FleetEvent, FrameDropEvent
+from repro.fleet.events import FrameDropEvent
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.session import DetectorSession, FrameItem, SessionState
 from repro.shard.messages import (
@@ -73,7 +77,6 @@ from repro.shard.messages import (
     StopMsg,
     StoppedMsg,
 )
-from repro.shard.metrics import apply_delta
 from repro.shard.ring import encode_slot, slot_bytes_for
 from repro.shard.worker import ShardWorker, mp_context
 
@@ -104,12 +107,13 @@ class ShardedFleet:
         Shard *processes* (each also drains its ring on its own core).
     queue_depth:
         Ring slots per shard — the same backpressure threshold role the
-        per-session queue bound plays in the threaded scheduler, but
-        shared by the shard's sessions and shedding the *newest* frame
-        when full (an SPSC producer cannot evict past the consumer).
+        per-session queue bound plays in the threaded scheduler, and the
+        same policy (the arriving frame is refused), but shared by the
+        shard's sessions.
     metrics:
-        Parent-side registry; worker deltas aggregate into it, so
-        Prometheus rendering spans every process.
+        Parent-side registry (queue gauges, shard crashes, unrouted
+        frames). Session counters land on each session's own registry,
+        normally this one, replayed from what the workers ship.
     slot_bins:
         Largest frame (fast-time bins) a ring slot must carry. Sessions
         declaring more bins than this are rejected at attach.
@@ -308,7 +312,7 @@ class ShardedFleet:
 
         Encodes the frame into a checksummed ring slot and publishes it
         to the session's shard. True when accepted; False when the ring
-        was full and the frame was shed (accounted by
+        was full and the frame was refused (accounted by
         :func:`~repro.fleet.backend.account_queue`, as the threaded
         scheduler's queue drops are).
         """
@@ -424,20 +428,24 @@ class ShardedFleet:
                 self._cond.notify_all()
 
     def _apply_report(self, report: ShardReport) -> None:
-        """Fold one worker report into parent sessions and metrics."""
-        apply_delta(self.metrics, report.metrics)
+        """Replay one worker report onto the parent sessions.
+
+        Each batch goes through the session's ``_record_batch`` and each
+        event through its ``_emit``, which count them exactly as they
+        count the threaded backend's.
+        """
+        if report.unrouted:
+            self.metrics.counter("shard.unrouted_frames").inc(report.unrouted)
         with self._cond:
             sessions = dict(self._sessions)
-        for sid, delta in report.frames.items():
+        for sid, n_frames, latencies in report.batches:
             session = sessions.get(sid)
             if session is not None:
-                session.frames_processed += delta
-        for sid, delta in report.restarts.items():
-            session = sessions.get(sid)
-            if session is not None:
-                session.restarts += delta
+                session._record_batch(n_frames, latencies)
         for event in report.events:
-            self._apply_event(sessions.get(event.session_id), event)
+            session = sessions.get(event.session_id)
+            if session is not None:
+                session._emit(event)
         for sid, (generation, state_value) in report.states.items():
             session = sessions.get(sid)
             if session is not None:
@@ -457,13 +465,6 @@ class ShardedFleet:
         # see drained() hold.
         for hook in hooks:
             hook()
-
-    def _apply_event(self, session: DetectorSession | None, event: FleetEvent) -> None:
-        if session is None:
-            return
-        if isinstance(event, BlinkEvent):
-            session.blink_events.append(event)
-        session._emit(event)
 
     def _mirror_state(
         self, session: DetectorSession, generation: int, state_value: str
@@ -563,9 +564,10 @@ class ShardedFleet:
         Every accepted frame is either reported consumed, carried onto
         the replacement's ring, or lost: taken off the dead ring by a
         worker that died before reporting it (at most one tick). The
-        loss also lands on the session's ``dropped_crash``, and its
-        completion hook fires once ``_consumed`` has moved (under
-        ``_cond``, which the hook's O(1), non-blocking contract allows).
+        loss reaches the session as ``FrameDropEvent(where="crash")``,
+        which its ``_emit`` counts, and its completion hook fires once
+        ``_consumed`` has moved (under ``_cond``, which the hook's O(1),
+        non-blocking contract allows).
         """
         for sid in homed:
             settled = self._accepted[sid] - carried.get(sid, 0)
@@ -576,11 +578,8 @@ class ShardedFleet:
             self._account_exit(sid)
             if lost <= 0:
                 continue
-            self.metrics.counter(f"session.{sid}.dropped_crash").inc(lost)
-            self.metrics.counter("fleet.dropped_crash").inc(lost)
             session = self._sessions.get(sid)
             if session is not None:
-                session.dropped_crash += lost
                 session._emit(FrameDropEvent(sid, session.time_s, lost, where="crash"))
             hook = self._hooks.get(sid)
             if hook is not None:

@@ -1,8 +1,8 @@
 """Pickle-over-pipe control plane between the parent and shard workers.
 
 The data plane (frames) is the shared-memory ring; everything else —
-session attach/detach, drain accounting, results, metric deltas,
-heartbeats, shutdown — travels as small picklable records over one
+session attach/detach, drain accounting, the sessions' events and
+batches, heartbeats, shutdown — travels as small picklable records over one
 :func:`multiprocessing.Pipe` per worker. The parent's supervisor thread
 multiplexes every worker pipe with :func:`multiprocessing.connection.wait`.
 
@@ -23,8 +23,8 @@ from repro.fleet.session import SessionConfig
 __all__ = [
     "AttachMsg",
     "DetachAck",
+    "BatchRecord",
     "DetachMsg",
-    "MetricsDelta",
     "ReadyMsg",
     "ShardReport",
     "StopMsg",
@@ -32,22 +32,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricsDelta:
-    """Everything a worker's registry recorded since the last report.
-
-    Counters ship as increments, gauges as last-written values, and
-    histograms as the raw observations — so the parent registry's
-    percentiles aggregate *observations* across processes, not summaries
-    of summaries.
-    """
-
-    counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    observations: dict[str, list[float]] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return bool(self.counters or self.gauges or self.observations)
+#: One processed batch: (session id, frames, enqueue-to-done latencies).
+BatchRecord = tuple[str, int, list[float]]
 
 
 @dataclass(frozen=True)
@@ -93,19 +79,21 @@ class ShardReport:
     and fully handled (processed or flushed as stale) — and is what the
     parent's ``drained()`` compares against its accepted counts. Reports
     are sent *after* the tick's processing, so a drained session's
-    results are already applied parent-side. ``frames``/``restarts`` are
-    deltas onto the parent session objects; ``events`` replay onto the
-    parent's per-session logs and sink in emission order; ``states``
+    results are already applied parent-side. ``events`` and ``batches``
+    are what the worker's sessions recorded since the last report, in
+    order; the parent replays them through its own session's ``_emit``
+    and ``_record_batch``, which count them, so latencies cross as raw
+    observations and parent-side percentiles stay exact. ``states``
     carries ``(generation, state)`` so lifecycle mirroring stays
-    generation-guarded across the process boundary.
+    generation-guarded across the process boundary. ``unrouted`` counts
+    frames for sessions the shard does not home (``shard.unrouted_frames``).
     """
 
     consumed: dict[str, int] = field(default_factory=dict)
-    frames: dict[str, int] = field(default_factory=dict)
-    restarts: dict[str, int] = field(default_factory=dict)
     events: list[FleetEvent] = field(default_factory=list)
+    batches: list[BatchRecord] = field(default_factory=list)
     states: dict[str, tuple[int, str]] = field(default_factory=dict)
-    metrics: MetricsDelta = field(default_factory=MetricsDelta)
+    unrouted: int = 0
 
 
 @dataclass(frozen=True)

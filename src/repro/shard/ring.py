@@ -226,10 +226,10 @@ class ShmRing:
     def push(self, slot: bytes) -> bool:
         """Publish one encoded slot; False (and a counted drop) when full.
 
-        Drop-*newest*: unlike the threaded scheduler's in-process deques,
-        the producer cannot reach past the consumer's cursor to evict the
-        oldest slot, so backpressure sheds the arriving frame instead.
-        Conservation still holds exactly: every submitted frame is either
+        Drop-*newest*: the producer cannot reach past the consumer's
+        cursor to evict the oldest slot, so backpressure sheds the
+        arriving frame, as the threaded scheduler's queues do too.
+        Conservation holds exactly: every submitted frame is either
         published (and eventually consumed) or counted in :attr:`drops`.
         """
         if len(slot) > self.slot_bytes:

@@ -17,10 +17,12 @@ The worker process owns a shard of sessions. Its loop is a tick:
    :meth:`~repro.fleet.session.DetectorSession.process_batch` — the same
    code path the threaded scheduler's workers call, which is what makes
    sharded output bit-identical to threaded output.
-3. Ship a :class:`~repro.shard.messages.ShardReport` (results, events,
-   metric deltas, cumulative consumed counts) — after processing, so the
-   parent's ``drained()`` implies results are already applied — and
-   heartbeat on a fixed cadence while idle.
+3. Ship a :class:`~repro.shard.messages.ShardReport` (the sessions'
+   events and batches, cumulative consumed counts) — after processing,
+   so the parent's ``drained()`` implies results are already applied —
+   and heartbeat on a fixed cadence while idle. The worker counts
+   nothing itself: the parent counts each event and batch once, on its
+   own session.
 
 Latency is measured worker-side against the parent's ``perf_counter``
 enqueue stamps: both clocks are CLOCK_MONOTONIC on Linux, so the stamps
@@ -48,6 +50,7 @@ from repro.fleet.session import SessionState
 from repro.gateway.ingest import IngestSession
 from repro.shard.messages import (
     AttachMsg,
+    BatchRecord,
     DetachAck,
     DetachMsg,
     ReadyMsg,
@@ -55,7 +58,6 @@ from repro.shard.messages import (
     StopMsg,
     StoppedMsg,
 )
-from repro.shard.metrics import JournalingRegistry
 from repro.shard.ring import RingFrame, ShmRing
 
 __all__ = ["ShardWorker", "mp_context", "shard_worker_main"]
@@ -90,13 +92,27 @@ class _ShardSession(IngestSession):
     """Worker-side detector session mirroring one parent session.
 
     Identical to the gateway's :class:`IngestSession` — same
-    ``process_batch`` path, same metrics names, same events — plus the
-    generation bridge: the *parent* owns the produce side (faults,
+    ``process_batch`` path, same events — except that it counts nothing:
+    :meth:`_emit` and :meth:`_record_batch` hand each event and batch to
+    the next report, and the parent counts them on its own session. Plus
+    the generation bridge: the *parent* owns the produce side (faults,
     restarts, generation bumps), so when stamped generations move past
     this mirror's, it rebuilds its detector exactly as the parent's
     ``_bring_up`` swap would have, and older-generation frames flush as
     stale through the inherited run splitting.
     """
+
+    #: Collects the next report; wired after start, as the bring-up
+    #: events (INIT → COLD_START) already happened on the parent session.
+    outbox: _WorkerState | None = None
+
+    def _emit(self, event: FleetEvent) -> None:
+        if self.outbox is not None:
+            self.outbox.events.append(event)
+
+    def _record_batch(self, n_frames: int, latencies: list[float]) -> None:
+        if self.outbox is not None:
+            self.outbox.batches.append((self.session_id, n_frames, latencies))
 
     def adopt_generation(self, generation: int) -> None:
         """Mirror a parent-side restart: fresh detector, cold start."""
@@ -126,13 +142,13 @@ class _WorkerState:
     """Everything the worker loop tracks across ticks."""
 
     def __init__(self) -> None:
-        self.registry = JournalingRegistry()
-        self.outbox: list[FleetEvent] = []
         self.by_index: dict[int, _ShardSession] = {}
         self.by_id: dict[str, _ShardSession] = {}
         self.consumed: dict[str, int] = {}
-        self.shipped_frames: dict[str, int] = {}
-        self.shipped_restarts: dict[str, int] = {}
+        #: What the sessions recorded since the last report.
+        self.events: list[FleetEvent] = []
+        self.batches: list[BatchRecord] = []
+        self.unrouted = 0
         #: Detach/stop requests read off the pipe, run after the tick.
         self.requests: deque[DetachMsg | StopMsg] = deque()
 
@@ -142,45 +158,26 @@ class _WorkerState:
             n_bins=msg.n_bins,
             frame_rate_hz=msg.frame_rate_hz,
             config=msg.config,
-            metrics=self.registry,
         )
-        # Bring-up events (INIT → COLD_START) already happened on the
-        # parent's own session object; suppress the mirror's duplicates
-        # by wiring the sink only after start.
         session.start()
-        session._sink = self.outbox.append
+        session.outbox = self
         self.by_index[msg.session_index] = session
         self.by_id[msg.session_id] = session
         self.consumed.setdefault(msg.session_id, 0)
-        self.shipped_frames.setdefault(msg.session_id, 0)
-        self.shipped_restarts.setdefault(msg.session_id, 0)
 
     def report(self) -> ShardReport:
-        frames: dict[str, int] = {}
-        restarts: dict[str, int] = {}
-        states: dict[str, tuple[int, str]] = {}
-        for sid, session in self.by_id.items():
-            frame_delta = session.frames_processed - self.shipped_frames[sid]
-            if frame_delta:
-                frames[sid] = frame_delta
-                self.shipped_frames[sid] = session.frames_processed
-            restart_delta = session.restarts - self.shipped_restarts[sid]
-            if restart_delta:
-                restarts[sid] = restart_delta
-                self.shipped_restarts[sid] = session.restarts
-            states[sid] = (session.generation, session.state.value)
-        # Copy-and-clear in place: session sinks hold a bound reference
-        # to this exact list, so it must never be rebound.
-        events = list(self.outbox)
-        self.outbox.clear()
-        return ShardReport(
+        report = ShardReport(
             consumed=dict(self.consumed),
-            frames=frames,
-            restarts=restarts,
-            events=events,
-            states=states,
-            metrics=self.registry.drain_delta(),
+            events=self.events,
+            batches=self.batches,
+            states={
+                sid: (session.generation, session.state.value)
+                for sid, session in self.by_id.items()
+            },
+            unrouted=self.unrouted,
         )
+        self.events, self.batches, self.unrouted = [], [], 0
+        return report
 
 
 def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:
@@ -209,7 +206,7 @@ def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:
         if session is None:
             # A frame for a session this shard no longer (or never)
             # homes: consume it loudly, never wedge the ring.
-            state.registry.counter("shard.unrouted_frames").inc(len(rfs))
+            state.unrouted += len(rfs)
             continue
         session.adopt_generation(max(rf.generation for rf in rfs))
         session.process_batch(
@@ -288,9 +285,8 @@ def shard_worker_main(conn: Connection, ring_name: str) -> None:
                     session = state.by_id.get(msg.session_id)
                     if session is not None:
                         session.flush_final()
-                    # Build the final report *before* deregistering: the
-                    # per-session frame/restart deltas walk ``by_id``, and
-                    # the detach drain above is exactly what they cover.
+                    # Build the final report *before* deregistering: its
+                    # state mirror walks ``by_id``.
                     final = state.report()
                     if session is not None:
                         del state.by_id[msg.session_id]
@@ -301,8 +297,6 @@ def shard_worker_main(conn: Connection, ring_name: str) -> None:
                         # re-attach of this sid must also restart the
                         # worker's cumulative accounting from zero.
                         state.consumed.pop(msg.session_id, None)
-                        state.shipped_frames.pop(msg.session_id, None)
-                        state.shipped_restarts.pop(msg.session_id, None)
                     conn.send(DetachAck(msg.session_id, final))
                 else:
                     stopping = True

@@ -2,9 +2,11 @@
 
 Every test runs on the threaded :class:`FleetScheduler` and on the
 process-sharded :class:`ShardedFleet` (see ``repro.fleet.backend`` for
-the contract): one test per :class:`ServeBackend` method, shed
-conservation, the run-to-completion pump against a serial run, and the
-documented deviations between the two backends.
+the contract): one test per :class:`ServeBackend` method, the one shed
+policy and its conservation, the gateway's exact ACK watermark that
+policy makes possible, counter parity with a serial run, the
+run-to-completion pump against a serial run, and the documented
+deviations between the two backends.
 
 Nothing here sleeps or polls: a wait is on the session's completion
 hook (with a deadline only as a failure bound), and a full queue is
@@ -14,10 +16,12 @@ shard worker stopped with SIGSTOP — so every shed count is exact.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import os
 import signal
 import threading
+import time
 from collections.abc import Iterator
 
 import numpy as np
@@ -28,6 +32,8 @@ from repro.fleet.events import FrameDropEvent
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.session import DetectorSession, SessionState
 from repro.gateway.ingest import IngestSession
+from repro.gateway.protocol import Ack, Drain, Frame, WireDecoder, encode_frame_payload
+from repro.gateway.server import GatewayServer, _Connection
 from repro.shard.fleet import ShardedFleet
 
 _N_BINS = 16
@@ -251,6 +257,145 @@ class TestContract:
         assert backend.detach("shed0") == 0
         session.close()
 
+    def test_full_queue_refuses_arriving_frame(self, fresh):
+        """One shed policy: a full queue (threaded) or ring (sharded)
+        refuses the arriving frame, so the accepted ones leave in submit
+        order."""
+        name, backend = fresh
+        session = _session(backend, "pol0")
+        done = _attach(backend, session)
+        with _consumers_held(name, backend):
+            accepted = [backend.submit("pol0", item) for item in _items(session, 10)]
+        done.wait(lambda: backend.drained("pol0"))
+        shed_frames = [
+            round(e.time_s * _FPS)
+            for e in session.events
+            if isinstance(e, FrameDropEvent) and e.where == "queue"
+        ]
+        assert accepted == [True] * 2 + [False] * 8
+        assert shed_frames == list(range(2, 10))
+        assert session.frames_processed == 2
+        backend.detach("pol0")
+        session.close()
+
+
+class _Wire:
+    """A gateway writer that decodes what the server writes."""
+
+    def __init__(self) -> None:
+        self._decoder = WireDecoder()
+        self.messages: list[object] = []
+
+    def write(self, data: bytes) -> None:
+        self.messages.extend(self._decoder.feed(data))
+
+    async def drain(self) -> None:
+        return None
+
+    def acks(self) -> list[Ack]:
+        return [m for m in self.messages if isinstance(m, Ack)]
+
+
+class TestWatermark:
+    def test_ack_never_covers_an_unprocessed_frame(self, fresh):
+        """The gateway's completion watermark is exact on both backends.
+
+        Frames reach a gateway connection over a depth-2 queue whose
+        consumers are held: frames 0 and 1 are accepted and wait, 2-9
+        are refused. No ACK may cover frame 0 while it waits; after
+        DRAIN the last ACK covers every frame, and ``seq - processed``
+        is the number shed.
+        """
+        name, backend = fresh
+        n = 10
+
+        async def scenario():
+            # Never started: the fixture owns the backend's lifecycle.
+            server = GatewayServer(backend=backend)
+            conn = _Connection(server, peer="test")
+            session = _session(backend, "wm0")
+            backend.attach(session, on_complete=conn.on_completion)
+            conn.session = session
+            wire = _Wire()
+            pump = asyncio.ensure_future(server._ack_pump(conn, wire))
+            try:
+                with _consumers_held(name, backend):
+                    for seq, (_, time_s, frame) in enumerate(_items(session, n)):
+                        frame_msg = Frame(1, seq, time_s, encode_frame_payload(frame))
+                        assert await server._handle_message(conn, frame_msg, wire)
+                    for _ in range(5):
+                        await asyncio.sleep(0)  # let the pump act on the refusals
+                    held = wire.acks()
+                drain = server._handle_message(conn, Drain(1), wire)
+                assert await asyncio.wait_for(drain, _TIMEOUT_S)
+            finally:
+                pump.cancel()
+                await asyncio.gather(pump, return_exceptions=True)
+            return session, held, wire.messages
+
+        session, held, messages = asyncio.run(scenario())
+        try:
+            assert list(range(2, n)) == [
+                round(e.time_s * _FPS)
+                for e in session.events
+                if isinstance(e, FrameDropEvent) and e.where == "queue"
+            ]
+            assert all(ack.seq == 0 for ack in held), held
+            reply = messages[-1]
+            assert isinstance(reply, Drain) and reply.stats is not None
+            final = [m for m in messages if isinstance(m, Ack)][-1]
+            assert final.seq == n
+            assert final.processed == reply.stats["processed"] == 2
+            assert final.seq - final.processed == reply.stats["dropped_queue"] == n - 2
+        finally:
+            backend.detach("wm0")
+            session.close()
+
+
+class TestCounterParity:
+    @pytest.mark.parametrize("backend_name", _BACKENDS)
+    def test_counters_match_a_serial_run(self, backend_name, drowsy_drive):
+        """Each counter is counted once, from its event or batch, on the
+        session's own registry: a served drive leaves exactly the
+        counters and histogram counts of an in-process serial run."""
+        frames, fps = drowsy_drive.frames, drowsy_drive.frame_rate_hz
+
+        def ingest(metrics) -> IngestSession:
+            session = IngestSession(
+                "p12", n_bins=drowsy_drive.n_bins, frame_rate_hz=fps, metrics=metrics
+            )
+            session.start()
+            return session
+
+        serial = ingest(None)
+        for k in range(len(frames)):
+            serial.process(serial.make_item(k / fps, frames[k]), time.perf_counter())
+        serial.close()
+
+        backend = _backend(backend_name, queue_depth=4096)
+        backend.start()
+        try:
+            session = ingest(backend.metrics)
+            done = _attach(backend, session)
+            for k in range(len(frames)):
+                assert backend.submit("p12", session.make_item(k / fps, frames[k]))
+            done.wait(lambda: backend.drained("p12"))
+            backend.detach("p12")
+            session.close()
+        finally:
+            backend.stop()
+
+        want = serial.metrics.as_dict()
+        got = backend.metrics.as_dict()
+        assert want["counters"]["session.p12.blinks"] > 0
+        assert want["counters"]["session.p12.drowsy_alerts"] > 0
+        assert want["counters"]["session.p12.restarts"] > 0
+        assert got["counters"] == want["counters"]
+        assert {name: h["count"] for name, h in got["histograms"].items()} == {
+            name: h["count"] for name, h in want["histograms"].items()
+        }
+        assert session.blink_times_s == serial.blink_times_s
+
 
 class TestPump:
     @pytest.mark.parametrize("backend_name", _BACKENDS)
@@ -274,26 +419,6 @@ class TestPump:
 
 
 class TestDeviations:
-    def test_shed_policy_oldest_vs_newest(self, fresh):
-        """Threaded drops the oldest queued frame; the sharded ring drops
-        the arriving one (a producer cannot evict past the consumer)."""
-        name, backend = fresh
-        session = _session(backend, "pol0")
-        done = _attach(backend, session)
-        with _consumers_held(name, backend):
-            for item in _items(session, 10):
-                backend.submit("pol0", item)
-        done.wait(lambda: backend.drained("pol0"))
-        shed_frames = [
-            round(e.time_s * _FPS)
-            for e in session.events
-            if isinstance(e, FrameDropEvent) and e.where == "queue"
-        ]
-        expected = list(range(8)) if name == "threaded" else list(range(2, 10))
-        assert shed_frames == expected
-        backend.detach("pol0")
-        session.close()
-
     @pytest.mark.parametrize("backend_name", _BACKENDS)
     def test_detach_before_drain(self, backend_name):
         """Threaded detach discards the backlog and reports it; sharded

@@ -6,6 +6,7 @@ deterministic and detector-free. Frames reach it through the one pump
 waits are on the completion hook, never on a timer."""
 
 import threading
+import time
 
 import pytest
 
@@ -70,8 +71,14 @@ class FakeSession:
         self.events.append(event)
 
 
-def _dropped(metrics: MetricsRegistry, session_id: str) -> int:
-    return metrics.counter(f"session.{session_id}.dropped_queue").value
+def _shed(session: FakeSession) -> list[int]:
+    """Frame indices of the queue drops the session was told about
+    (counting them is the session's own ``_emit``'s job)."""
+    return [
+        round(e.time_s * 25.0)
+        for e in session.events
+        if isinstance(e, FrameDropEvent) and e.where == "queue"
+    ]
 
 
 class TestValidation:
@@ -119,24 +126,22 @@ class TestScheduling:
 
 
 class TestBackpressure:
-    def test_enqueue_drops_oldest(self):
-        """Deterministic drop-oldest: fill a depth-3 queue without workers."""
+    def test_enqueue_refuses_the_arriving_frame(self):
+        """Deterministic drop-newest: fill a depth-3 queue without workers."""
         session = FakeSession("s0", 10)
         metrics = MetricsRegistry()
         scheduler = FleetScheduler(queue_depth=3, metrics=metrics)
         scheduler.attach(session)
         accepted = [scheduler.submit("s0", _item(k)) for k in range(10)]
         assert accepted == [True] * 3 + [False] * 7
-        assert metrics.counter("session.s0.dropped_queue").value == 7
-        assert metrics.counter("fleet.dropped_queue").value == 7
         assert metrics.gauge("session.s0.queue_depth").value == 3
-        drops = [e for e in session.events if isinstance(e, FrameDropEvent)]
-        assert all(e.where == "queue" for e in drops)
-        # Each event is stamped with the evicted frame: the oldest went.
-        assert [round(e.time_s * 25.0) for e in drops] == list(range(7))
+        # One drop event per refused frame, stamped with that frame.
+        assert all(isinstance(e, FrameDropEvent) for e in session.events)
+        assert [e.n_dropped for e in session.events] == [1] * 7
+        assert _shed(session) == list(range(3, 10))
         scheduler.start()
         scheduler.stop()
-        assert session.processed == [7, 8, 9]  # freshest wins
+        assert session.processed == [0, 1, 2]  # accepted frames keep their order
 
     def test_slow_consumer_loses_only_its_own_frames(self):
         """One stalled session must not make a healthy one drop.
@@ -184,10 +189,38 @@ class TestBackpressure:
         finally:
             gate.set()
             scheduler.stop()
-        metrics = scheduler.metrics
-        assert _dropped(metrics, "fast") == 0
-        # Frame 0 was taken; 99 more met a 16-deep queue: 83 shed.
-        assert _dropped(metrics, "slow") == 99 - 16
+        assert _shed(fast) == []
+        # Frame 0 was taken; 99 more met a 16-deep queue: the last 83
+        # were refused on arrival.
+        assert _shed(slow) == list(range(17, 100))
         assert fast.processed == list(range(100))
-        # Whatever survived the slow queue was still processed in order.
-        assert slow.processed == [0] + list(range(100 - 16, 100))
+        # What the slow queue accepted was still processed in order.
+        assert slow.processed == list(range(17))
+
+
+class TestStop:
+    def test_stop_wakes_every_worker(self):
+        """Workers wait without a timeout, so stop() must wake each one.
+
+        Four workers, one session with a 100-frame backlog at 2 ms a
+        batch: one worker holds the backlog while the other three go to
+        sleep. Each must still be woken to exit once the last batch is
+        done; the join timeout is only a failure bound.
+        """
+
+        class SlowSession(FakeSession):
+            def process_batch(self, items, enqueued_ats=None):
+                time.sleep(0.002)
+                super().process_batch(items, enqueued_ats)
+
+        session = SlowSession("s0", 100)
+        scheduler = FleetScheduler(workers=4)
+        scheduler.attach(session)
+        for k in range(100):
+            assert scheduler.submit("s0", _item(k))
+        scheduler.start()
+        stopper = threading.Thread(target=scheduler.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=60.0)
+        assert not stopper.is_alive(), "stop() never returned: a worker slept on"
+        assert session.processed == list(range(100))

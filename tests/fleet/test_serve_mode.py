@@ -98,6 +98,8 @@ class TestServeMode:
         scheduler.stop()
         assert session.frames_processed == 0
         assert metrics.counter("session.g0.dropped_stale").value == 5
+        # /healthz names the loss too.
+        assert session.health()["dropped_stale"] == 5
         session.close()
 
 

@@ -63,13 +63,17 @@ class _Stream:
             ).astype(np.complex64)
             for sid in self.sids
         }
+        self.fleet = ShardedFleet(workers=2, queue_depth=4096, slot_bins=_N_BINS)
+        # The sessions count their own losses; sharing the fleet's
+        # registry, as the gateway's sessions do, puts them on /metrics.
         self.sessions = {
-            sid: IngestSession(sid, n_bins=_N_BINS, frame_rate_hz=_FPS)
+            sid: IngestSession(
+                sid, n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=self.fleet.metrics
+            )
             for sid in self.sids
         }
         self.accepted = {sid: 0 for sid in self.sids}
         self.completed = threading.Event()
-        self.fleet = ShardedFleet(workers=2, queue_depth=4096, slot_bins=_N_BINS)
         self.fleet.start()
         for session in self.sessions.values():
             session.start()
@@ -190,3 +194,27 @@ class TestCrashRecovery:
     def test_drained_reports_true_for_all_sessions(self, crashed):
         for sid in crashed.sessions:
             assert crashed.fleet.drained(sid)
+
+    def test_health_names_the_crash_loss(self, crashed):
+        for session in crashed.sessions.values():
+            assert session.health()["dropped_crash"] == _crash_lost(session)
+
+
+def test_settled_crash_loss_reaches_health_and_metrics():
+    """A crash settlement charges the session through its own ``_emit``.
+
+    The settlement reads only the parent-side ledger, so a fleet that
+    never spawned a worker can charge a synthetic loss of 3 frames.
+    """
+    fleet = ShardedFleet(workers=1, slot_bins=_N_BINS)
+    session = IngestSession("h0", n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=fleet.metrics)
+    session.start()
+    with fleet._cond:
+        fleet._sessions["h0"] = session
+        fleet._accepted["h0"] = 10
+        fleet._consumed["h0"] = 7
+        fleet._settle(["h0"], {})
+    assert session.health()["dropped_crash"] == session.dropped_crash == 3
+    assert _crash_lost(session) == 3
+    assert fleet.metrics.counter("fleet.dropped_crash").value == 3
+    session.close()

@@ -62,11 +62,12 @@ def test_frames_queued_behind_an_unread_attach_are_routed():
 
     try:
         consumed = _tick(_ParentActsBeforeSnapshot(ring, attach_then_push), child, state)
+        report = state.report()
 
         assert consumed == 5
-        assert state.registry.counter("shard.unrouted_frames").value == 0
-        assert state.consumed == {"s": 5}
-        assert state.by_id["s"].frames_processed == 5
+        assert report.unrouted == 0
+        assert report.consumed == {"s": 5}
+        assert sum(n for sid, n, _ in report.batches if sid == "s") == 5
         assert ring.size == 0
     finally:
         parent.close()

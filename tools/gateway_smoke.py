@@ -8,10 +8,12 @@ gates on:
 1. **Zero loss below the backpressure threshold.** Each vehicle sends
    fewer frames than the per-session queue bound, so every frame pushed
    must come out of a detector; any shed frame fails the check.
-2. **Well-formed /metrics.** The Prometheus scrape parses line by line
-   (``# HELP``/``# TYPE`` comments plus ``name{labels} value`` samples),
-   and the gateway's frame counter agrees exactly with what the clients
-   sent. ``/healthz`` and ``/ready`` must answer 200.
+2. **Well-formed, conserving /metrics.** The Prometheus scrape parses
+   line by line (``# HELP``/``# TYPE`` comments plus ``name{labels}
+   value`` samples), the gateway's frame counter agrees exactly with
+   what the clients sent, and every received frame is accounted once:
+   received = processed + queue, stale and crash drops + unrouted.
+   ``/healthz`` and ``/ready`` must answer 200.
 3. **Bit-identical ingest.** Every server-side recording's content hash
    equals the source trace's.
 
@@ -49,6 +51,16 @@ _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (?:[0-9.eE+-]+|NaN)$"
 )
 
+#: Where a received frame ends up once the fleet is drained; a family
+#: missing from the scrape counts as 0.
+_FRAME_OUTCOMES = (
+    "repro_fleet_frames_processed_total",
+    "repro_fleet_dropped_queue_total",
+    "repro_fleet_dropped_stale_total",
+    "repro_fleet_dropped_crash_total",
+    "repro_shard_unrouted_frames_total",
+)
+
 
 def record_drive(path: Path, duration_s: float, seed: int) -> None:
     scenario = Scenario(
@@ -83,16 +95,24 @@ async def http_get(port: int, path: str) -> tuple[int, bytes]:
 def check_scrape(text: str, frames_sent: int) -> list[str]:
     """Return a list of problems with the /metrics payload (empty = ok)."""
     problems = []
+    samples: dict[str, float] = {}
     for line in text.splitlines():
         if not line or line.startswith("# "):
             continue
         if not _SAMPLE_RE.match(line):
             problems.append(f"malformed sample line: {line!r}")
+            continue
+        name, _, value = line.rpartition(" ")
+        samples[name] = float(value)
     expected = f"repro_gateway_frames_received_total {frames_sent}"
     if expected not in text.splitlines():
         problems.append(f"scrape lacks {expected!r}")
     if "# TYPE repro_gateway_frames_received_total counter" not in text:
         problems.append("frame counter family lacks a TYPE line")
+    received = samples.get("repro_gateway_frames_received_total", 0.0)
+    outcomes = {name: samples.get(name, 0.0) for name in _FRAME_OUTCOMES}
+    if received != sum(outcomes.values()):
+        problems.append(f"received {received:g} frames, but they sum to {outcomes}")
     return problems
 
 
@@ -176,7 +196,7 @@ async def run_smoke(args: argparse.Namespace, drive: Path, record_dir: Path) -> 
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
-        f"smoke ok: zero loss, /metrics well-formed, "
+        f"smoke ok: zero loss, /metrics well-formed and conserving, "
         f"{len(recordings)} recordings bit-identical to source"
     )
     return 0

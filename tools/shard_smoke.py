@@ -13,7 +13,8 @@ Two phases, both run for real (worker processes, shared-memory rings):
    processing after the crash (the replacement shard does real work).
 2. **Gateway end-to-end over the sharded backend.** Reuses the
    gateway-smoke gates (zero loss below the backpressure threshold,
-   well-formed /metrics, bit-identical recordings) with
+   well-formed /metrics whose frame counters conserve, bit-identical
+   recordings) with
    ``--backend sharded``, proving the serve surface really is a drop-in.
 
 Exit status 0 on success, 1 with a diagnostic on any failure::
