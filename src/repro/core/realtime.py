@@ -292,7 +292,8 @@ class RealTimeBlinkDetector:
         first_is_ever = self._prev_raw is None
         if not first_is_ever:
             deltas[0] = np.sum(np.abs(raw_block[0] - self._prev_raw))
-        self._prev_raw = raw_block[n_frames - 1]
+        # A copy, not a view: a view would pin the caller's whole block.
+        self._prev_raw = raw_block[n_frames - 1].copy()
 
         statuses = []
         for t in range(n_frames):

@@ -27,6 +27,10 @@ Contract, for either backend:
   session has left the pipeline; ``idle()`` is the same for every
   session. ``detach(session_id)`` unregisters a session and returns the
   number of accepted frames it lost (0 after ``drained()``).
+- Once ``detach`` returns, the backend holds no reference to the
+  session, so the caller's last reference frees it, detector included,
+  by reference counting; only a completion-hook call already under way
+  may still finish.
 - Every call naming an unknown session id raises :class:`KeyError`.
 
 Every session counter is counted by the session, from its events and

@@ -254,6 +254,24 @@ class MetricsRegistry:
         """Histogram registered under ``name`` (created on first use)."""
         return self._get_or_create(name, Histogram, lambda: Histogram(window))
 
+    def drop_session(self, session_id: str) -> None:
+        """Remove every ``session.<id>.*`` instrument of one session.
+
+        For a session that has ended: its series leave the export, and
+        ``fleet.*`` totals keep what it counted. A later write under one
+        of its names starts a fresh instrument.
+        """
+        prefix = f"session.{session_id}."
+        with self._lock:
+            doomed = [
+                name
+                for name in self._instruments
+                # A dot past the prefix is another session's ("a" vs "a.b").
+                if name.startswith(prefix) and "." not in name[len(prefix) :]
+            ]
+            for name in doomed:
+                del self._instruments[name]
+
     def as_dict(self) -> dict[str, dict[str, object]]:
         """Export every instrument as a JSON-serialisable dict."""
         with self._lock:

@@ -236,7 +236,11 @@ class FleetScheduler:
                         self._cond.notify_all()
                     elif slot.queue:
                         self._cond.notify()
+                    hook = slot.on_complete
+                    # Let go of the session under the lock: once a
+                    # detach() returns, no worker holds it.
+                    del slot
                 # Only after the claim is released: a caller the hook
                 # wakes must already see drained() hold.
-                if slot.on_complete is not None:
-                    slot.on_complete()
+                if hook is not None:
+                    hook()

@@ -60,6 +60,32 @@ __all__ = ["SessionState", "SessionConfig", "DetectorSession", "FrameItem"]
 FrameItem = tuple[int, float, np.ndarray]
 
 
+class _World:
+    """A vehicle's world: its frames and a forward-only cursor.
+
+    Callable as the emulated chip's ``frame_source``. The session owns
+    the world and the chip only borrows it, so nothing the chip holds
+    leads back to the session: a finished session is freed by reference
+    counting, not by a cyclic collection.
+    """
+
+    __slots__ = ("frames", "cursor")
+
+    def __init__(self, frames: np.ndarray) -> None:
+        self.frames = frames
+        #: Next world frame index the chip will sample.
+        self.cursor = 0
+
+    def __call__(self, _k: int) -> np.ndarray:
+        # The chip samples the *world*, not a tape: the cursor only
+        # moves forward, so resets lose frames instead of replaying.
+        i = self.cursor
+        if i >= len(self.frames):
+            raise IndexError(i)
+        self.cursor = i + 1
+        return self.frames[i]
+
+
 class SessionState(Enum):
     """Lifecycle states of a detector session."""
 
@@ -125,9 +151,10 @@ class DetectorSession:
         Stable identifier; prefixes every event and metric.
     frames:
         The vehicle's world: a (n_frames, n_bins) complex matrix the
-        emulated chip samples from. The session keeps its own cursor
-        into it, so a chip reset never rewinds the world — frames that
-        elapse while the session is down are simply gone, as on a road.
+        emulated chip samples from, through a forward-only cursor the
+        session owns, so a chip reset never rewinds the world — frames
+        that elapse while the session is down are simply gone, as on a
+        road.
     config:
         Policy knobs (:class:`SessionConfig`).
     wire_factory:
@@ -159,14 +186,13 @@ class DetectorSession:
         self.config = config if config is not None else SessionConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sink = sink
-        self._frames = frames
-        self._n_world = frames.shape[0]
+        self._world = _World(frames)
         self.n_bins = frames.shape[1]
         self.frame_rate_hz = 100.0 / self.config.frame_rate_div
         self._period_s = 1.0 / self.frame_rate_hz
 
         self.device = UwbRadarDevice(
-            frame_source=self._feed,
+            frame_source=self._world,
             fifo_capacity_bytes=self.config.fifo_frames * self.n_bins * 4,
         )
         self.wire: SpiSlave = wire_factory(self.device) if wire_factory else self.device
@@ -174,7 +200,6 @@ class DetectorSession:
 
         self._lock = threading.Lock()
         self._state = SessionState.INIT  # reprolint: guarded-by(_lock)
-        self._cursor = 0  # next world frame index the chip will sample
         self._base_cursor = 0  # world index where the current incarnation began
         self._drops_reported = 0  # per-incarnation FIFO drops already evented
         self._backoff = 0
@@ -205,15 +230,6 @@ class DetectorSession:
         self.restarts = 0
 
     # ----------------------------------------------------------------- helpers
-    def _feed(self, _k: int) -> np.ndarray:
-        # The chip samples the *world*, not a tape: the session cursor
-        # only moves forward, so resets lose frames instead of replaying.
-        i = self._cursor
-        if i >= self._n_world:
-            raise IndexError(i)
-        self._cursor = i + 1
-        return self._frames[i]
-
     @property
     def state(self) -> SessionState:
         """Current lifecycle state."""
@@ -228,7 +244,7 @@ class DetectorSession:
     @property
     def time_s(self) -> float:
         """Session device-time clock (seconds of world elapsed)."""
-        return self._cursor * self._period_s
+        return self._world.cursor * self._period_s
 
     @property
     def generation(self) -> int:
@@ -333,7 +349,7 @@ class DetectorSession:
             frame_rate_div=self.config.frame_rate_div, tx_power=self.config.tx_power
         )
         self.driver.start()
-        self._base_cursor = self._cursor
+        self._base_cursor = self._world.cursor
         self._drops_reported = 0
         self._stream = FrameStream(self.driver, self.device)
         # The generation bump and detector swap are atomic so workers
@@ -428,7 +444,7 @@ class DetectorSession:
         # it to the detector is lost at the reset (FIFO flush + overflow
         # drops not yet accounted).
         delivered = self._stream.delivered if self._stream is not None else 0
-        lost = (self._cursor - self._base_cursor) - delivered - self._drops_reported
+        lost = (self._world.cursor - self._base_cursor) - delivered - self._drops_reported
         attempts = self._recovery_attempts + 1
         try:
             self.driver.soft_reset()
@@ -614,7 +630,7 @@ class DetectorSession:
         return {
             "state": self.state.value,
             "time_s": round(self.time_s, 3),
-            "frames_world": self._cursor,
+            "frames_world": self._world.cursor,
             "frames_processed": self.frames_processed,
             "blinks": len(self.blink_events),
             "restarts": self.restarts,

@@ -608,6 +608,9 @@ class GatewayServer:
         except KeyError:
             pass  # already detached by a racing shutdown path
         session.close()
+        # Only now: close() may flush a final blink onto the session's
+        # counters. The fleet totals keep everything it counted.
+        self.metrics.drop_session(session.session_id)
         if recorder is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._finalize_recording, session.session_id, recorder

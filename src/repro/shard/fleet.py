@@ -300,11 +300,9 @@ class ShardedFleet:
                     raise TimeoutError(f"shard never acknowledged detach of {session_id!r}")
             self._detach_acks.pop(session_id)
             self._pending_detach.pop(session_id, None)
-            self._sessions.pop(session_id, None)
             self._index_of.pop(session_id, None)
             lost = self._accepted.pop(session_id, 0) - self._consumed.pop(session_id, 0)
             self._consumed_base.pop(session_id, None)
-            self._hooks.pop(session_id, None)
             return max(0, lost)
 
     def submit(self, session_id: str, item: FrameItem) -> bool:
@@ -419,8 +417,7 @@ class ShardedFleet:
         elif isinstance(msg, DetachAck):
             self._apply_report(msg.report)
             with self._cond:
-                self._detach_acks[msg.session_id] = msg
-                self._cond.notify_all()
+                self._ack_detach(msg)
         elif isinstance(msg, StoppedMsg):
             self._apply_report(msg.report)
             with self._cond:
@@ -465,6 +462,19 @@ class ShardedFleet:
         # see drained() hold.
         for hook in hooks:
             hook()
+
+    def _ack_detach(self, ack: DetachAck) -> None:  # reprolint: guarded-by(_cond)
+        """Answer a waiting :meth:`detach` and forget its session.
+
+        Both happen in one critical section: every report is replayed
+        from a snapshot of ``_sessions`` taken under the lock, so no
+        snapshot taken once ``detach()`` can return holds the session,
+        and neither does the fleet.
+        """
+        self._detach_acks[ack.session_id] = ack
+        self._sessions.pop(ack.session_id, None)
+        self._hooks.pop(ack.session_id, None)
+        self._cond.notify_all()
 
     def _mirror_state(
         self, session: DetectorSession, generation: int, state_value: str
@@ -518,7 +528,7 @@ class ShardedFleet:
             # Fail any call waiting on the corpse.
             for sid, pending_worker in list(self._pending_detach.items()):
                 if pending_worker is worker:
-                    self._detach_acks[sid] = DetachAck(sid, ShardReport())
+                    self._ack_detach(DetachAck(sid, ShardReport()))
                     self._pending_detach.pop(sid)
             self.metrics.counter("fleet.shard_crashes").inc()
             if self._respawns >= _MAX_RESPAWNS:

@@ -165,6 +165,28 @@ class _WorkerState:
         self.by_id[msg.session_id] = session
         self.consumed.setdefault(msg.session_id, 0)
 
+    def detach(self, session_id: str, ring: ShmRing, conn: Connection) -> ShardReport:
+        """Drain the ring, flush the session and forget it; the final report.
+
+        Once this returns the worker holds no reference to the session,
+        so its detector is freed with it.
+        """
+        while _tick(ring, conn, self):
+            pass
+        session = self.by_id.get(session_id)
+        if session is None:
+            return self.report()
+        session.flush_final()
+        # Build the final report *before* deregistering: its state
+        # mirror walks ``by_id``.
+        final = self.report()
+        del self.by_id[session_id]
+        self.by_index = {i: s for i, s in self.by_index.items() if s is not session}
+        # The parent zeroes its side on detach, so a re-attach of this
+        # sid must also restart the worker's cumulative accounting.
+        self.consumed.pop(session_id, None)
+        return final
+
     def report(self) -> ShardReport:
         report = ShardReport(
             consumed=dict(self.consumed),
@@ -280,24 +302,8 @@ def shard_worker_main(conn: Connection, ring_name: str) -> None:
             while state.requests:
                 msg = state.requests.popleft()
                 if isinstance(msg, DetachMsg):
-                    while _tick(ring, conn, state):
-                        pass
-                    session = state.by_id.get(msg.session_id)
-                    if session is not None:
-                        session.flush_final()
-                    # Build the final report *before* deregistering: its
-                    # state mirror walks ``by_id``.
-                    final = state.report()
-                    if session is not None:
-                        del state.by_id[msg.session_id]
-                        state.by_index = {
-                            i: s for i, s in state.by_index.items() if s is not session
-                        }
-                        # The parent zeroes its side on detach, so a
-                        # re-attach of this sid must also restart the
-                        # worker's cumulative accounting from zero.
-                        state.consumed.pop(msg.session_id, None)
-                    conn.send(DetachAck(msg.session_id, final))
+                    report = state.detach(msg.session_id, ring, conn)
+                    conn.send(DetachAck(msg.session_id, report))
                 else:
                     stopping = True
             now = time.monotonic()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import builtins
 import functools
+import gc
 import inspect
 import io
 import os
@@ -27,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any, Callable
 
@@ -136,6 +138,23 @@ def _runtime_checks():
     loop_violations.clear()
     if problems:
         pytest.fail("\n".join(problems), pytrace=False)
+
+
+@pytest.fixture()
+def refcount_only() -> Iterator[None]:
+    """Run the test body with automatic cyclic GC off.
+
+    An object the body sees die was freed by reference counting, not by
+    a collection that happened to run: a reference cycle keeps it alive,
+    and the test says so.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -------------------------------------------------------------- traces

@@ -1,5 +1,7 @@
 """White-box tests of the real-time detector's adaptive machinery."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,15 @@ class TestRestartBookkeeping:
         before = list(det.events)
         det._restart()
         assert det.events == before
+
+
+class TestBlockLifetime:
+    def test_detector_does_not_pin_the_callers_block(self, refcount_only):
+        # The movement delta needs only the block's last row; keeping a
+        # view of it would keep the whole (n_frames, n_bins) block alive.
+        det = RealTimeBlinkDetector(25.0)
+        block = synthetic_frames(200)
+        det.process_block(block)
+        ref = weakref.ref(block)
+        del block
+        assert ref() is None

@@ -22,6 +22,7 @@ import os
 import signal
 import threading
 import time
+import weakref
 from collections.abc import Iterator
 
 import numpy as np
@@ -178,6 +179,19 @@ class TestContract:
         with pytest.raises(KeyError):
             running.drained("det0")  # gone with the detach
         session.close()
+
+    def test_detach_releases_the_session(self, running, refcount_only):
+        # Once detach() returns the backend holds no reference to the
+        # session, so dropping the caller's frees it and its detector.
+        session = _session(running, "free0")
+        done = _attach(running, session)
+        for item in _items(session, 30):
+            assert running.submit("free0", item)
+        done.wait(lambda: running.drained("free0"))
+        refs = [weakref.ref(session), weakref.ref(session.detector)]
+        assert running.detach("free0") == 0
+        del session
+        assert [ref() for ref in refs] == [None, None]
 
     def test_drained_session_reads_zero_queue_depth(self, running):
         # The gauge used to be written only at submit, so a drained

@@ -115,3 +115,17 @@ class TestRegistry:
         assert out["counters"]["frames"] == 7
         assert out["gauges"]["depth"] == 3.0
         assert out["histograms"]["latency"]["count"] == 1
+
+    def test_drop_session_removes_only_that_sessions_instruments(self):
+        reg = MetricsRegistry()
+        for sid in ("a", "a.b", "ab"):
+            reg.counter(f"session.{sid}.blinks").inc(2)
+            reg.histogram(f"session.{sid}.latency_s").observe(0.01)
+        reg.counter("fleet.blinks").inc(6)
+        reg.drop_session("a")
+        out = reg.as_dict()
+        assert sorted(out["counters"]) == ["fleet.blinks", "session.a.b.blinks", "session.ab.blinks"]
+        assert sorted(out["histograms"]) == ["session.a.b.latency_s", "session.ab.latency_s"]
+        assert out["counters"]["fleet.blinks"] == 6
+        # A later write under a dropped name starts a fresh instrument.
+        assert reg.counter("session.a.blinks").value == 0

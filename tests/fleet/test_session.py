@@ -1,6 +1,8 @@
 """DetectorSession: lifecycle, fault recovery, frame accounting, and
 equivalence with the offline pipeline."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.fleet import (
     SpiFaultInjector,
     StateChangeEvent,
 )
+from repro.gateway.ingest import IngestSession
 from repro.hardware.device import UwbRadarDevice
 from repro.hardware.driver import FrameStream, XepDriver
 from repro.hardware.spi import SpiBus
@@ -248,3 +251,26 @@ class TestValidation:
             SessionConfig(max_recovery_attempts=0)
         with pytest.raises(ValueError):
             SessionConfig(fifo_frames=0)
+
+
+class TestLifetime:
+    """A finished session is freed by reference counting alone: nothing it
+    owns (chip, driver, stream, detector) leads back to it."""
+
+    def test_closed_ingest_session_is_freed(self, refcount_only):
+        session = IngestSession("free", n_bins=16, frame_rate_hz=FRAME_RATE)
+        session.start()
+        frame = np.ones(16, dtype=np.complex64)
+        session.process_batch([session.make_item(k / FRAME_RATE, frame) for k in range(60)])
+        session.close()
+        refs = [weakref.ref(session), weakref.ref(session.detector), weakref.ref(session.device)]
+        del session
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_serial_session_is_freed(self, fleet_trace, refcount_only):
+        # The chip samples this session's world: the pumped path.
+        session = DetectorSession("free", fleet_trace.frames)
+        session.run_serial()
+        refs = [weakref.ref(session), weakref.ref(session.detector)]
+        del session
+        assert [ref() for ref in refs] == [None, None]

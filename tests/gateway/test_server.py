@@ -19,6 +19,7 @@ import os
 import signal
 import struct
 import sys
+import weakref
 import zlib
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.fleet.scheduler import FleetScheduler
 from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import HEADER_BYTES, MAGIC, encode_frame_payload, encode_message, Hello
 from repro.gateway.server import GatewayServer
+from repro.shard.fleet import ShardedFleet
 from repro.store.catalog import Catalog
 from repro.store.reader import TraceReader
 from repro.store.replay import ReplaySource
@@ -503,3 +505,59 @@ class TestLifecycle:
         for _, stats, _ in results:
             assert stats["processed"] == 80
             assert stats["dropped_queue"] == 0
+
+
+def _fleet_counters(server: GatewayServer) -> dict[str, int]:
+    counters = server.metrics.as_dict()["counters"]
+    return {name: value for name, value in counters.items() if name.startswith("fleet.")}
+
+
+class TestSessionEnd:
+    """BYE ends a session everywhere: the server lets go of the object
+    (freed by reference counting alone), and its series leave /metrics,
+    while the fleet totals keep everything it counted."""
+
+    @pytest.mark.parametrize("backend_name", ["threaded", "sharded"])
+    def test_bye_frees_the_session_and_its_series(
+        self, backend_name, gateway_trace_path, refcount_only
+    ):
+        async def scenario():
+            backend = (
+                FleetScheduler(workers=2) if backend_name == "threaded" else ShardedFleet(workers=1)
+            )
+            server = GatewayServer(backend=backend)
+            await server.start()
+            try:
+                client = await GatewayClient.connect(server.host, server.port)
+                try:
+                    with ReplaySource(gateway_trace_path) as source:
+                        await client.hello(
+                            "bye0", n_bins=source.n_bins, frame_rate_hz=source.frame_rate_hz
+                        )
+                        for seq, (stamp_s, frame) in enumerate(source):
+                            await client.send_frame(seq, stamp_s, frame)
+                    await client.drain()
+                    ref = weakref.ref(server.sessions["bye0"])
+                    live = server.metrics.render_prometheus(), _fleet_counters(server)
+                    await client.bye()
+                finally:
+                    await client.close()
+                freed = ref() is None
+                return freed, live, (server.metrics.render_prometheus(), _fleet_counters(server))
+            finally:
+                await server.shutdown()
+
+        freed, (live_scrape, live_fleet), (scrape, fleet) = asyncio.run(scenario())
+
+        assert freed
+        assert 'session="bye0"' in live_scrape
+        assert 'session="bye0"' not in scrape
+        # Only the final flush at close() may count after the drain: the
+        # totals end at the direct replay's blinks, tail included.
+        with ReplaySource(gateway_trace_path) as source:
+            frames = np.asarray(source)
+            detector = RealTimeBlinkDetector(source.frame_rate_hz)
+        blinks = sum(s.event is not None for s in detector.process_block(frames))
+        blinks += detector.finish() is not None
+        assert fleet == {**live_fleet, "fleet.blinks": blinks}
+        assert fleet["fleet.frames_processed"] == len(frames)

@@ -7,6 +7,7 @@ hand, so the interleaving under test is constructed, not raced.
 from __future__ import annotations
 
 import multiprocessing
+import weakref
 
 import numpy as np
 
@@ -69,6 +70,51 @@ def test_frames_queued_behind_an_unread_attach_are_routed():
         assert report.consumed == {"s": 5}
         assert sum(n for sid, n, _ in report.batches if sid == "s") == 5
         assert ring.size == 0
+    finally:
+        parent.close()
+        child.close()
+        ring.close()
+        ring.unlink()
+
+
+def _attach_msg(index: int, sid: str) -> AttachMsg:
+    return AttachMsg(
+        session_index=index,
+        session_id=sid,
+        n_bins=_N_BINS,
+        frame_rate_hz=25.0,
+        config=SessionConfig(),
+    )
+
+
+def test_detach_frees_the_session_and_its_detector(refcount_only):
+    """Once the worker's detach returns, nothing in the worker holds the
+    session: it and its detector are freed, while a neighbour whose rows
+    shared the same fused stage-1 launch keeps running."""
+    parent, child = multiprocessing.Pipe()
+    ring = ShmRing.create(256, slot_bytes_for(_N_BINS))
+    state = _WorkerState()
+    rng = np.random.default_rng(3)
+    try:
+        state.attach(_attach_msg(1, "gone"))
+        state.attach(_attach_msg(2, "kept"))
+        for k in range(80):
+            for index in (1, 2):
+                frame = (rng.standard_normal(_N_BINS) + 1j).astype(np.complex64)
+                assert ring.push(encode_slot(index, 1, 0.0, k / 25.0, frame))
+        assert _tick(ring, child, state) == 160
+        gone = state.by_id["gone"]
+        refs = [weakref.ref(gone), weakref.ref(gone.detector)]
+        del gone
+
+        report = state.detach("gone", ring, child)
+
+        assert [ref() for ref in refs] == [None, None]
+        assert report.consumed == {"gone": 80, "kept": 80}
+        assert "gone" in report.states
+        assert list(state.by_id) == ["kept"]
+        assert list(state.by_index) == [2]
+        assert state.consumed == {"kept": 80}
     finally:
         parent.close()
         child.close()

@@ -13,7 +13,8 @@ gates on:
    value`` samples), the gateway's frame counter agrees exactly with
    what the clients sent, and every received frame is accounted once:
    received = processed + queue, stale and crash drops + unrouted.
-   ``/healthz`` and ``/ready`` must answer 200.
+   Every vehicle has said BYE by the scrape, so no per-session series
+   may remain. ``/healthz`` and ``/ready`` must answer 200.
 3. **Bit-identical ingest.** Every server-side recording's content hash
    equals the source trace's.
 
@@ -93,7 +94,11 @@ async def http_get(port: int, path: str) -> tuple[int, bytes]:
 
 
 def check_scrape(text: str, frames_sent: int) -> list[str]:
-    """Return a list of problems with the /metrics payload (empty = ok)."""
+    """Return a list of problems with the /metrics payload (empty = ok).
+
+    Taken once every vehicle has said BYE: a finished session's series
+    must have left the scrape.
+    """
     problems = []
     samples: dict[str, float] = {}
     for line in text.splitlines():
@@ -104,6 +109,9 @@ def check_scrape(text: str, frames_sent: int) -> list[str]:
             continue
         name, _, value = line.rpartition(" ")
         samples[name] = float(value)
+    stale = sorted(name for name in samples if 'session="' in name)
+    if stale:
+        problems.append(f"{len(stale)} series of finished sessions remain, e.g. {stale[0]!r}")
     expected = f"repro_gateway_frames_received_total {frames_sent}"
     if expected not in text.splitlines():
         problems.append(f"scrape lacks {expected!r}")

@@ -16,6 +16,12 @@ Two phases, both run for real (worker processes, shared-memory rings):
    well-formed /metrics whose frame counters conserve, bit-identical
    recordings) with
    ``--backend sharded``, proving the serve surface really is a drop-in.
+3. **Worker memory under session churn.** One shard worker serves
+   sessions one after another; each attaches, streams a few hundred
+   frames, drains and detaches. The worker's resident set (``VmRSS``)
+   may grow by at most a small bound between the 10th session and the
+   last, so a worker's memory follows the sessions it serves now, not
+   every session it has served. Linux only (it reads ``/proc``).
 
 Exit status 0 on success, 1 with a diagnostic on any failure::
 
@@ -28,6 +34,7 @@ import argparse
 import os
 import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -44,6 +51,15 @@ from repro.shard.worker import _TICK_MAX  # noqa: E402
 import gateway_smoke  # noqa: E402
 
 _DRAIN_TIMEOUT_S = 120.0
+
+#: Churn phase: sessions served one after another by one worker, the
+#: frames each streams, and the worker's allowed RSS growth between the
+#: 10th session and the last (the first sessions warm the ring's pages
+#: and the allocator).
+_CHURN_SESSIONS = 60
+_CHURN_FRAMES = 400
+_CHURN_WARM = 10
+_CHURN_BOUND_MB = 10.0
 
 
 def crash_lost(session: IngestSession) -> int:
@@ -127,6 +143,73 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
     return failures
 
 
+def vm_rss_mb(pid: int) -> float:
+    """A process's resident set, from ``/proc/<pid>/status``."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024.0
+    raise RuntimeError(f"no VmRSS for pid {pid}")
+
+
+def run_churn_phase(args: argparse.Namespace) -> list[str]:
+    if not Path("/proc/self/status").exists():
+        print("churn phase skipped: no /proc to read a worker's VmRSS")
+        return []
+    failures: list[str] = []
+    rng = np.random.default_rng(args.seed)
+    n_bins, fps = 128, 25.0
+    frames = (
+        rng.standard_normal((_CHURN_FRAMES, n_bins))
+        + 1j * rng.standard_normal((_CHURN_FRAMES, n_bins))
+    ).astype(np.complex64)
+    fleet = ShardedFleet(workers=1, queue_depth=1024, slot_bins=n_bins)
+    fleet.start()
+    rss_mb: dict[int, float] = {}
+    try:
+        for k in range(1, _CHURN_SESSIONS + 1):
+            sid = f"churn{k:03d}"
+            session = IngestSession(sid, n_bins=n_bins, frame_rate_hz=fps)
+            session.start()
+            completed = threading.Event()
+            fleet.attach(session, on_complete=completed.set)
+            shed = sum(
+                not fleet.submit(sid, session.make_item(i / fps, frames[i]))
+                for i in range(_CHURN_FRAMES)
+            )
+            if shed:
+                failures.append(f"{sid}: {shed} frames shed by a 1024-slot ring")
+            deadline = time.monotonic() + _DRAIN_TIMEOUT_S
+            while True:
+                completed.clear()
+                if fleet.drained(sid):
+                    break
+                if not completed.wait(max(0.0, deadline - time.monotonic())):
+                    failures.append(f"{sid} never drained")
+                    return failures
+            fleet.detach(sid)
+            session.close()
+            if k in (_CHURN_WARM, _CHURN_SESSIONS):
+                rss_mb[k] = vm_rss_mb(fleet.shard_pid(0))
+        crashes = int(fleet.metrics.counter("fleet.shard_crashes").value)
+    finally:
+        fleet.stop()
+    if crashes:
+        failures.append(f"{crashes} shard crash(es) during the churn phase")
+    growth = rss_mb[_CHURN_SESSIONS] - rss_mb[_CHURN_WARM]
+    print(
+        f"churn phase: worker VmRSS {rss_mb[_CHURN_WARM]:.1f} MB after session "
+        f"{_CHURN_WARM}, {rss_mb[_CHURN_SESSIONS]:.1f} MB after session "
+        f"{_CHURN_SESSIONS} (growth {growth:+.1f} MB, bound {_CHURN_BOUND_MB:g} MB)"
+    )
+    if growth > _CHURN_BOUND_MB:
+        failures.append(
+            f"worker VmRSS grew {growth:.1f} MB over {_CHURN_SESSIONS - _CHURN_WARM} "
+            f"finished sessions (bound {_CHURN_BOUND_MB:g} MB): detached sessions "
+            "are not freed"
+        )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4, help="shard processes")
@@ -141,7 +224,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print("gateway e2e over the sharded backend:")
-    return gateway_smoke.main(["--backend", "sharded", "--workers", str(args.workers)])
+    if gateway_smoke.main(["--backend", "sharded", "--workers", str(args.workers)]):
+        return 1
+    failures = run_churn_phase(args)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
