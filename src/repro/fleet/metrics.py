@@ -187,19 +187,24 @@ def _prom_value(value: float) -> str:
     return repr(number)
 
 
+#: Registry scopes whose instruments are named ``<scope>.<id>.<metric>``.
+_LABELLED_SCOPES = ("session", "shard")
+
+
 def _prom_split(name: str, namespace: str) -> tuple[str, tuple[tuple[str, str], ...]]:
     """``(family, labels)`` for one registry name.
 
-    Per-session instruments — the registry convention
-    ``session.<id>.<metric>`` — fold into one labelled family per
-    metric (``repro_session_latency_s{session="v03"}``) instead of one
-    family per vehicle, which is what makes the export scrapeable at
+    Per-session and per-shard instruments — the registry convention
+    ``session.<id>.<metric>`` and ``shard.<i>.<metric>`` — fold into one
+    labelled family per metric (``repro_session_latency_s{session="v03"}``,
+    ``repro_shard_rss_bytes{shard="0"}``) instead of one family per
+    vehicle or worker, which is what makes the export scrapeable at
     fleet scale.
     """
     parts = name.split(".")
-    if len(parts) >= 3 and parts[0] == "session":
-        family = _prom_name(f"{namespace}_session_{'_'.join(parts[2:])}")
-        return family, (("session", parts[1]),)
+    if len(parts) >= 3 and parts[0] in _LABELLED_SCOPES:
+        family = _prom_name(f"{namespace}_{parts[0]}_{'_'.join(parts[2:])}")
+        return family, ((parts[0], parts[1]),)
     return _prom_name(f"{namespace}_{'_'.join(parts)}"), ()
 
 
@@ -254,19 +259,20 @@ class MetricsRegistry:
         """Histogram registered under ``name`` (created on first use)."""
         return self._get_or_create(name, Histogram, lambda: Histogram(window))
 
-    def drop_session(self, session_id: str) -> None:
-        """Remove every ``session.<id>.*`` instrument of one session.
+    def drop_labelled(self, scope: str, key: str) -> None:
+        """Remove every ``<scope>.<key>.*`` instrument, e.g. one session's.
 
-        For a session that has ended: its series leave the export, and
-        ``fleet.*`` totals keep what it counted. A later write under one
-        of its names starts a fresh instrument.
+        For a session that has ended (``"session", <id>``) or a shard
+        worker that is gone (``"shard", <i>``): its series leave the
+        export, and ``fleet.*`` totals keep what it counted. A later
+        write under one of its names starts a fresh instrument.
         """
-        prefix = f"session.{session_id}."
+        prefix = f"{scope}.{key}."
         with self._lock:
             doomed = [
                 name
                 for name in self._instruments
-                # A dot past the prefix is another session's ("a" vs "a.b").
+                # A dot past the prefix is another key's ("a" vs "a.b").
                 if name.startswith(prefix) and "." not in name[len(prefix) :]
             ]
             for name in doomed:
@@ -295,13 +301,14 @@ class MetricsRegistry:
         - Histograms export as summaries: ``{quantile="0.5|0.95|0.99"}``
           series over the retained window plus exact ``_sum`` and
           ``_count`` over the full stream.
-        - ``session.<id>.<metric>`` names fold into one family per
-          metric with a ``session`` label.
+        - ``session.<id>.<metric>`` and ``shard.<i>.<metric>`` names fold
+          into one family per metric with a ``session`` or ``shard``
+          label.
 
         The output is deterministic: families are sorted by name, series
         within a family by label values, and label order is fixed
-        (``session`` before ``quantile``), so two registries holding the
-        same instruments render byte-identical text.
+        (``session`` or ``shard`` before ``quantile``), so two registries
+        holding the same instruments render byte-identical text.
         """
         with self._lock:
             items = sorted(self._instruments.items())

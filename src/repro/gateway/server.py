@@ -610,7 +610,7 @@ class GatewayServer:
         session.close()
         # Only now: close() may flush a final blink onto the session's
         # counters. The fleet totals keep everything it counted.
-        self.metrics.drop_session(session.session_id)
+        self.metrics.drop_labelled("session", session.session_id)
         if recorder is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._finalize_recording, session.session_id, recorder

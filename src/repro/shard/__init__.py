@@ -12,16 +12,19 @@ detector side into worker *processes*, each owning a shard of sessions:
   worker consumes them zero-copy straight out of shared memory.
 - A small pickle-over-pipe control plane (:mod:`repro.shard.messages`)
   handles attach/detach/drain/stop, ships each tick's session events
-  and batches back for the parent to count, and heartbeats each shard.
+  and batches back for the parent to count (a tick is at most 64 ring
+  slots, so results and ACKs flow every 64 frames or sooner, also
+  while a detach drains a backlog), and heartbeats each shard.
 - Each worker drains its ring into one fused stage-1 kernel launch per
   tick (the cross-session row-matrix batching of
   :class:`~repro.core.batched.BatchedPipeline`), then runs the stateful
   per-session walks — in its own interpreter, on its own core.
 - The parent (:class:`~repro.shard.fleet.ShardedFleet`) supervises the
   shards: a SIGKILLed worker is detected, the frames it took but never
-  reported (at most one tick) are counted as losses, a replacement is
-  spawned, the dead shard's sessions and its ring's backlog move onto
-  it — other shards never notice, and no parent call deadlocks.
+  reported (at most one tick, 64 frames) are counted as losses, a
+  replacement is spawned, the dead shard's sessions and its ring's
+  backlog move onto it — other shards never notice, and no parent call
+  deadlocks.
 
 :class:`ShardedFleet` implements the
 :class:`~repro.fleet.backend.ServeBackend` contract, so the network

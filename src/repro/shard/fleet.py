@@ -29,7 +29,9 @@ Accounting invariants:
   ``consumed >= accepted``, and reports ship *after* processing, so a
   drained session's results are already visible parent-side.
 - A SIGKILLed worker costs only the frames it took off its ring but
-  never reported: at most one tick (``_TICK_MAX`` slots). The
+  never reported: at most one tick (``_TICK_MAX`` = 64 slots, shared by
+  the shard's sessions). A worker reports after every tick, the drain
+  ticks of a detach included, so the bound holds mid-detach too. The
   supervisor reads every report left in the dead worker's pipe, spawns
   a replacement shard, re-homes the dead shard's sessions onto it, and
   moves the dead ring's unconsumed slots onto the replacement's ring —
@@ -52,6 +54,10 @@ Accounting invariants:
 - Workers count nothing: the parent replays each report's events and
   batches through its session's ``_emit`` and ``_record_batch``, the
   two methods that count on the threaded backend too.
+- Each report carries its worker's resident set, exported as the gauge
+  ``shard.<i>.rss_bytes`` (``repro_shard_rss_bytes{shard="<i>"}`` on
+  ``/metrics``). A shard's series leaves the registry when the shard
+  does: when it is replaced after a crash, or at :meth:`ShardedFleet.stop`.
 """
 
 from __future__ import annotations
@@ -222,6 +228,7 @@ class ShardedFleet:
             supervisor.join(timeout=_OP_TIMEOUT_S)
         for worker in pool:
             worker.close()
+            self.metrics.drop_labelled("shard", str(worker.shard_index))
         with self._cond:
             self._pool = []
             self._started = False
@@ -413,18 +420,18 @@ class ShardedFleet:
                 worker.ready = True
                 self._cond.notify_all()
         elif isinstance(msg, ShardReport):
-            self._apply_report(msg)
+            self._apply_report(worker, msg)
         elif isinstance(msg, DetachAck):
-            self._apply_report(msg.report)
+            self._apply_report(worker, msg.report)
             with self._cond:
                 self._ack_detach(msg)
         elif isinstance(msg, StoppedMsg):
-            self._apply_report(msg.report)
+            self._apply_report(worker, msg.report)
             with self._cond:
                 worker.stopped = True
                 self._cond.notify_all()
 
-    def _apply_report(self, report: ShardReport) -> None:
+    def _apply_report(self, worker: ShardWorker, report: ShardReport) -> None:
         """Replay one worker report onto the parent sessions.
 
         Each batch goes through the session's ``_record_batch`` and each
@@ -433,6 +440,8 @@ class ShardedFleet:
         """
         if report.unrouted:
             self.metrics.counter("shard.unrouted_frames").inc(report.unrouted)
+        if report.rss_bytes:
+            self.metrics.gauge(f"shard.{worker.shard_index}.rss_bytes").set(report.rss_bytes)
         with self._cond:
             sessions = dict(self._sessions)
         for sid, n_frames, latencies in report.batches:
@@ -523,6 +532,8 @@ class ShardedFleet:
         with self._cond:
             if worker not in self._pool:
                 return
+            # Every report it sent is applied: its series go with it.
+            self.metrics.drop_labelled("shard", str(worker.shard_index))
             homed = [sid for sid, w in self._assign.items() if w is worker]
             attaching = [sid for sid, w in self._attaching.items() if w is worker]
             # Fail any call waiting on the corpse.

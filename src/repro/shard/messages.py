@@ -8,7 +8,8 @@ multiplexes every worker pipe with :func:`multiprocessing.connection.wait`.
 
 Parent → worker: :class:`AttachMsg`, :class:`DetachMsg`, :class:`StopMsg`.
 Worker → parent: :class:`ReadyMsg` once warm, then a :class:`ShardReport`
-after every tick that did work and on a heartbeat cadence when idle;
+after every tick that did work (a detach's drain ticks included) and on
+a heartbeat cadence when idle;
 :class:`DetachAck` / :class:`StoppedMsg` close the respective requests,
 each carrying a final report so nothing the worker produced is lost.
 """
@@ -87,6 +88,9 @@ class ShardReport:
     carries ``(generation, state)`` so lifecycle mirroring stays
     generation-guarded across the process boundary. ``unrouted`` counts
     frames for sessions the shard does not home (``shard.unrouted_frames``).
+    ``rss_bytes`` is the worker's resident set when the report was built
+    (0 where the platform has no ``/proc``); the parent exports it as the
+    ``shard.<i>.rss_bytes`` gauge.
     """
 
     consumed: dict[str, int] = field(default_factory=dict)
@@ -94,6 +98,7 @@ class ShardReport:
     batches: list[BatchRecord] = field(default_factory=list)
     states: dict[str, tuple[int, str]] = field(default_factory=dict)
     unrouted: int = 0
+    rss_bytes: int = 0
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,12 @@ from __future__ import annotations
 import secrets
 import struct
 from multiprocessing import shared_memory
-from typing import Any
 
 import numpy as np
 
 from repro.store.format import (
+    CODE_DTYPES,
+    DTYPE_CODES,
     KIND_CHUNK,
     StoreFormatError,
     StoreIntegrityError,
@@ -84,13 +85,6 @@ _ROUTE_SIZE = _ROUTE.size  # 24
 _BLOCK_OFF = _ROUTE_SIZE  # block header follows the route prefix
 _PAYLOAD_OFF = _BLOCK_OFF + 24  # chunk payload follows the block header
 
-#: Route-prefix dtype codes (same values as the ``.rst`` header codes).
-DTYPE_CODES: dict[str, int] = {"complex64": 1, "complex128": 2}
-CODE_DTYPES: dict[int, np.dtype[Any]] = {
-    1: np.dtype("<c8"),
-    2: np.dtype("<c16"),
-}
-
 
 def slot_bytes_for(n_bins: int, itemsize: int = 16) -> int:
     """Slot size needed for one ``n_bins``-bin frame of ``itemsize`` bytes."""
@@ -105,13 +99,22 @@ def encode_slot(
     timestamp_s: float,
     frame: np.ndarray,
 ) -> bytes:
-    """Encode one frame into ring-slot bytes (route + framed chunk)."""
-    code = DTYPE_CODES.get(frame.dtype.name)
+    """Encode one frame into ring-slot bytes (route + framed chunk).
+
+    The route's dtype code is the ``.rst`` header's, and slots carry
+    little-endian rows: a byte-swapped complex frame is swapped into
+    that layout here, and any other dtype is refused.
+    """
+    code = DTYPE_CODES.get(frame.dtype)
     if code is None:
-        raise StoreFormatError(
-            f"unsupported frame dtype {frame.dtype.name!r}; "
-            f"expected one of {sorted(DTYPE_CODES)}"
-        )
+        little = frame.dtype.newbyteorder("<")
+        code = DTYPE_CODES.get(little)
+        if code is None:
+            raise StoreFormatError(
+                f"unsupported frame dtype {frame.dtype.str!r}; "
+                f"expected one of {[d.str for d in DTYPE_CODES]}"
+            )
+        frame = frame.astype(little)
     payload = struct.pack("<d", timestamp_s) + frame.tobytes()
     return (
         _ROUTE.pack(session_index, generation, code, enqueued_at)
@@ -126,7 +129,8 @@ class RingFrame:
     ``frame`` is a numpy view *into the shared segment* — valid only
     until the consumer calls :meth:`ShmRing.advance` past this slot.
     The worker stacks views into its per-tick block (which copies) and
-    only then advances, so the zero-copy window is exactly one tick.
+    only then advances, so the zero-copy window is exactly one tick: at
+    most 64 slots (``repro.shard.worker._TICK_MAX``).
     """
 
     __slots__ = ("enqueued_at", "frame", "generation", "session_index", "timestamp_s")

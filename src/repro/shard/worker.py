@@ -2,13 +2,13 @@
 
 The worker process owns a shard of sessions. Its loop is a tick:
 
-1. Snapshot up to a tick's worth of ring slots, *then* drain the control
-   pipe. The parent sends a session's :class:`AttachMsg` before it
-   pushes any of that session's frames, so every frame in the snapshot
-   has its attach already in the pipe, and the drain reads it before
-   the frame is routed. (Draining first and peeking second would let a
-   frame pushed in between arrive ahead of its attach.) Detach and stop
-   requests run after the tick's frames.
+1. Snapshot up to a tick's worth of ring slots (``_TICK_MAX``), *then*
+   drain the control pipe. The parent sends a session's
+   :class:`AttachMsg` before it pushes any of that session's frames, so
+   every frame in the snapshot has its attach already in the pipe, and
+   the drain reads it before the frame is routed. (Draining first and
+   peeking second would let a frame pushed in between arrive ahead of
+   its attach.) Detach and stop requests run after the tick's frames.
 2. Group the snapshot's frames by session, run **one fused stage-1
    kernel launch** over every session's rows at once (the
    cross-session row-matrix batching of
@@ -18,11 +18,12 @@ The worker process owns a shard of sessions. Its loop is a tick:
    code path the threaded scheduler's workers call, which is what makes
    sharded output bit-identical to threaded output.
 3. Ship a :class:`~repro.shard.messages.ShardReport` (the sessions'
-   events and batches, cumulative consumed counts) — after processing,
-   so the parent's ``drained()`` implies results are already applied —
-   and heartbeat on a fixed cadence while idle. The worker counts
-   nothing itself: the parent counts each event and batch once, on its
-   own session.
+   events and batches, cumulative consumed counts, the worker's
+   resident bytes) after every tick that did work — including each tick
+   of a detach's drain — and heartbeat on a fixed cadence while idle.
+   Reports go after processing, so the parent's ``drained()`` implies
+   results are already applied. The worker counts nothing itself: the
+   parent counts each event and batch once, on its own session.
 
 Latency is measured worker-side against the parent's ``perf_counter``
 enqueue stamps: both clocks are CLOCK_MONOTONIC on Linux, so the stamps
@@ -34,6 +35,7 @@ ring, and its pipe; :meth:`ShardWorker.close` releases all three.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import threading
@@ -62,9 +64,18 @@ from repro.shard.ring import RingFrame, ShmRing
 
 __all__ = ["ShardWorker", "mp_context", "shard_worker_main"]
 
-#: Ring slots drained per tick (bounds the fused block and the zero-copy
-#: window; a deeper backlog simply takes several ticks).
-_TICK_MAX = 1024
+#: Ring slots drained per tick. A report ships after every tick, so
+#: this bounds how long a finished frame's result (and its gateway ACK)
+#: waits behind the frames drained with it, the frames a SIGKILL can
+#: cost, the per-tick scratch (stacked raw block, denoised block,
+#: filter rows) and how long a control message waits behind a backlog.
+#: A deeper backlog simply takes several ticks. Chosen by a sweep on a
+#: 2-core host (docs/performance.md, "Upload ACK latency and the shard
+#: tick"): gateway-upload's ACK p50 is flat from 64 to 256 slots and a
+#: quarter below 1,024, throughput falls at 32, and memory falls with
+#: the tick; 64 slots, about 10 ms of walk, is the smallest tick on the
+#: flat part.
+_TICK_MAX = 64
 
 #: Idle heartbeat cadence — the parent treats reports as liveness.
 _HEARTBEAT_S = 0.2
@@ -168,11 +179,16 @@ class _WorkerState:
     def detach(self, session_id: str, ring: ShmRing, conn: Connection) -> ShardReport:
         """Drain the ring, flush the session and forget it; the final report.
 
-        Once this returns the worker holds no reference to the session,
-        so its detector is freed with it.
+        The drain reports as the main loop does: what is pending ships
+        before the first drain tick and each tick's work right after it,
+        so a detach behind a backlog neither holds back the shard's other
+        sessions nor lets a kill cost more than one tick. Once this
+        returns the worker holds no reference to the session, so its
+        detector is freed with it.
         """
+        conn.send(self.report())
         while _tick(ring, conn, self):
-            pass
+            conn.send(self.report())
         session = self.by_id.get(session_id)
         if session is None:
             return self.report()
@@ -197,9 +213,26 @@ class _WorkerState:
                 for sid, session in self.by_id.items()
             },
             unrouted=self.unrouted,
+            rss_bytes=_rss_bytes(),
         )
         self.events, self.batches, self.unrouted = [], [], 0
         return report
+
+
+def _rss_bytes() -> int:
+    """This process's resident set in bytes; 0 where there is no ``/proc``.
+
+    One ``os.open``/``read``/``close`` of ``/proc/self/statm``: a few
+    microseconds, once per report.
+    """
+    try:
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+    except OSError:
+        return 0
+    try:
+        return int(os.read(fd, 128).split()[1]) * mmap.PAGESIZE
+    finally:
+        os.close(fd)
 
 
 def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:

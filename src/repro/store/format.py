@@ -90,12 +90,14 @@ KIND_META = 2
 KIND_LABELS = 3
 KIND_INDEX = 4
 
-#: On-disk dtype codes for the frame matrix.
-DTYPE_CODES: dict[str, int] = {"complex64": 1, "complex128": 2}
+#: On-disk dtype codes for the frame matrix, keyed by the dtype itself:
+#: a byte-swapped ``>c8`` has the same ``name`` as ``<c8`` but is not
+#: equal to it, so it finds no code instead of the little-endian one.
 CODE_DTYPES: dict[int, np.dtype] = {
     1: np.dtype("<c8"),
     2: np.dtype("<c16"),
 }
+DTYPE_CODES: dict[np.dtype, int] = {dtype: code for code, dtype in CODE_DTYPES.items()}
 
 _HEADER_STRUCT = struct.Struct("<4sHBBIId36s")
 _BLOCK_STRUCT = struct.Struct("<BBHIQ")
@@ -154,11 +156,11 @@ def pack_header(
     dtype: np.dtype, n_bins: int, chunk_frames: int, frame_rate_hz: float
 ) -> bytes:
     """Encode the 64-byte file header (CRC appended)."""
-    code = DTYPE_CODES.get(dtype.name)
+    code = DTYPE_CODES.get(dtype)
     if code is None:
         raise StoreFormatError(
-            f"unsupported frame dtype {dtype.name!r}; "
-            f"expected one of {sorted(DTYPE_CODES)}"
+            f"unsupported frame dtype {dtype.str!r}; "
+            f"expected one of {[d.str for d in DTYPE_CODES]}"
         )
     body = _HEADER_STRUCT.pack(
         MAGIC, FORMAT_VERSION, code, 0, n_bins, chunk_frames, frame_rate_hz, b""

@@ -229,6 +229,30 @@ class TestContract:
         with pytest.raises(RuntimeError):
             running.start()
 
+    def test_byte_swapped_frames_detect_as_their_native_copy(self, running, fleet_trace):
+        # A ">c8" frame holds the same values as its native copy; a
+        # shard ring that shipped its bytes under the little-endian
+        # code would make the worker detect on garbage.
+        native = fleet_trace.frames.astype(np.complex64)
+        fps = fleet_trace.frame_rate_hz
+        blinks = {}
+        for sid, frames in (("le0", native), ("be0", native.astype(">c8"))):
+            session = IngestSession(
+                sid, n_bins=fleet_trace.n_bins, frame_rate_hz=fps, metrics=running.metrics
+            )
+            session.start()
+            done = _attach(running, session)
+            try:
+                for k in range(len(frames)):
+                    assert running.submit(sid, session.make_item(k / fps, frames[k]))
+                done.wait(lambda sid=sid: running.drained(sid))
+            finally:
+                running.detach(sid)
+                session.close()
+            blinks[sid] = session.blink_times_s
+        assert len(blinks["le0"]) > 0
+        assert blinks["be0"] == blinks["le0"]
+
     @pytest.mark.parametrize("backend_name", _BACKENDS)
     def test_stop_drains_without_closing_and_is_idempotent(self, backend_name):
         backend = _backend(backend_name)

@@ -122,10 +122,19 @@ class TestRegistry:
             reg.counter(f"session.{sid}.blinks").inc(2)
             reg.histogram(f"session.{sid}.latency_s").observe(0.01)
         reg.counter("fleet.blinks").inc(6)
-        reg.drop_session("a")
+        reg.drop_labelled("session", "a")
         out = reg.as_dict()
         assert sorted(out["counters"]) == ["fleet.blinks", "session.a.b.blinks", "session.ab.blinks"]
         assert sorted(out["histograms"]) == ["session.a.b.latency_s", "session.ab.latency_s"]
         assert out["counters"]["fleet.blinks"] == 6
         # A later write under a dropped name starts a fresh instrument.
         assert reg.counter("session.a.blinks").value == 0
+
+    def test_drop_labelled_removes_only_that_shards_instruments(self):
+        reg = MetricsRegistry()
+        for shard in ("1", "12"):
+            reg.gauge(f"shard.{shard}.rss_bytes").set(1.0)
+        reg.counter("shard.unrouted_frames").inc()
+        reg.drop_labelled("shard", "1")
+        assert sorted(reg.as_dict()["gauges"]) == ["shard.12.rss_bytes"]
+        assert reg.as_dict()["counters"] == {"shard.unrouted_frames": 1}

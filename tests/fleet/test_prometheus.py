@@ -92,6 +92,19 @@ class TestSessionFolding:
         text = registry.render_prometheus()
         assert 'session="veh\\"7"' in text
 
+    def test_per_shard_names_become_labels(self):
+        registry = MetricsRegistry()
+        registry.gauge("shard.0.rss_bytes").set(1024)
+        registry.gauge("shard.3.rss_bytes").set(2048)
+        registry.counter("shard.unrouted_frames").inc(2)
+        text = registry.render_prometheus()
+        lines = _lines(text)
+        assert 'repro_shard_rss_bytes{shard="0"} 1024' in lines
+        assert 'repro_shard_rss_bytes{shard="3"} 2048' in lines
+        assert text.count("# TYPE repro_shard_rss_bytes gauge") == 1
+        # A two-part shard name has no id to fold.
+        assert "repro_shard_unrouted_frames_total 2" in lines
+
 
 class TestDeterminism:
     def test_identical_registries_render_identical_bytes(self):

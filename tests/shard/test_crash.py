@@ -199,6 +199,17 @@ class TestCrashRecovery:
         for session in crashed.sessions.values():
             assert session.health()["dropped_crash"] == _crash_lost(session)
 
+    def test_replaced_shard_leaves_the_rss_family(self, crashed):
+        # Every live shard has reported since the re-home (the
+        # replacement worked off the carried backlog); the dead one's
+        # series went with it.
+        text = crashed.fleet.metrics.render_prometheus()
+        assert f'repro_shard_rss_bytes{{shard="{crashed.victim}"}}' not in text
+        for shard in crashed.fleet.shards():
+            gauge = crashed.fleet.metrics.gauge(f"shard.{shard}.rss_bytes")
+            assert gauge.value > 0
+            assert f'repro_shard_rss_bytes{{shard="{shard}"}}' in text
+
 
 def test_settled_crash_loss_reaches_health_and_metrics():
     """A crash settlement charges the session through its own ``_emit``.

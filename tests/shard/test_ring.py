@@ -24,7 +24,7 @@ from repro.shard.ring import (
     encode_slot,
     slot_bytes_for,
 )
-from repro.store.format import StoreIntegrityError
+from repro.store.format import StoreFormatError, StoreIntegrityError
 
 
 def _frame(n_bins: int = 8, dtype=np.complex128) -> np.ndarray:
@@ -76,7 +76,24 @@ class TestSlotCodec:
             ring.push(encode_slot(0, 1, 0.0, 0.0, _frame(n_bins=64)))
 
     def test_dtype_codes_cover_pipeline_dtypes(self):
-        assert set(DTYPE_CODES) == {"complex64", "complex128"}
+        assert set(DTYPE_CODES) == {np.dtype("<c8"), np.dtype("<c16")}
+
+    @pytest.mark.parametrize("dtype", [">c8", ">c16"])
+    def test_byte_swapped_frame_arrives_with_its_values(self, ring, dtype):
+        # ">c8" shares its dtype name with "<c8": a code looked up by
+        # name would ship big-endian bytes under the little-endian code.
+        frame = _frame(dtype=dtype)
+        assert ring.push(encode_slot(0, 1, 0.0, 0.0, frame))
+        [rf] = ring.peek(1)
+        got = rf.frame.copy()
+        del rf
+        ring.advance(1)
+        assert got.dtype == np.dtype(dtype).newbyteorder("<")
+        np.testing.assert_array_equal(got, frame)
+
+    def test_non_complex_frame_refused(self):
+        with pytest.raises(StoreFormatError, match="unsupported frame dtype"):
+            encode_slot(0, 1, 0.0, 0.0, np.zeros(8))
 
 
 class TestBackpressure:
@@ -141,8 +158,6 @@ class TestIntegrity:
 
     def test_attach_rejects_foreign_segment(self):
         from multiprocessing import shared_memory
-
-        from repro.store.format import StoreFormatError
 
         shm = shared_memory.SharedMemory(create=True, size=1024)
         try:

@@ -14,15 +14,20 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
 from repro.gateway.ingest import IngestSession
 from repro.shard.fleet import ShardedFleet
+from repro.shard.worker import _TICK_MAX
 
 _N_BINS = 32
 _FPS = 25.0
+#: The tick bound the crash contract states (docs/fleet.md): a shard
+#: ships results, and a kill can cost frames, this many at a time.
+_DOCUMENTED_TICK = 64
 
 
 def _session(session_id: str, metrics=None, n_bins: int = _N_BINS) -> IngestSession:
@@ -73,6 +78,41 @@ class TestServeSurfaceParity:
             for session in sessions:
                 fleet.detach(session.session_id)
                 session.close()
+
+
+class TestReportCadence:
+    def test_an_unpaced_burst_completes_tick_by_tick(self, fleet):
+        """A burst's results come back one tick at a time, not when the
+        whole backlog is done: the completion hook (which the gateway
+        turns into ACKs) fires at least once per tick's worth of frames,
+        and ``frames_processed`` never moves by more than a tick."""
+        assert _TICK_MAX <= _DOCUMENTED_TICK
+        n_frames = 1000
+        rng = np.random.default_rng(17)
+        frames = (
+            rng.standard_normal((n_frames, _N_BINS))
+            + 1j * rng.standard_normal((n_frames, _N_BINS))
+        ).astype(np.complex64)
+        session = _session("burst")
+        seen: list[int] = []
+        completed = threading.Event()
+
+        def on_complete() -> None:
+            seen.append(session.frames_processed)
+            completed.set()
+
+        fleet.attach(session, on_complete=on_complete)
+        try:
+            for k in range(n_frames):
+                assert fleet.submit("burst", session.make_item(k / _FPS, frames[k]))
+            _wait_drained(fleet, "burst", completed)
+        finally:
+            fleet.detach("burst")
+            session.close()
+        assert seen[-1] == n_frames
+        assert len(seen) >= n_frames / _TICK_MAX
+        steps = np.diff([0, *seen])
+        assert steps.max() <= _TICK_MAX
 
 
 class TestBitIdentity:

@@ -6,15 +6,16 @@ hand, so the interleaving under test is constructed, not raced.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import weakref
 
 import numpy as np
 
 from repro.fleet.session import SessionConfig
-from repro.shard.messages import AttachMsg
+from repro.shard.messages import AttachMsg, ShardReport
 from repro.shard.ring import ShmRing, encode_slot, slot_bytes_for
-from repro.shard.worker import _tick, _WorkerState
+from repro.shard.worker import _TICK_MAX, _tick, _WorkerState
 
 _N_BINS = 16
 
@@ -87,22 +88,28 @@ def _attach_msg(index: int, sid: str) -> AttachMsg:
     )
 
 
+def _push(ring: ShmRing, index: int, n_frames: int, rng: np.random.Generator) -> None:
+    for k in range(n_frames):
+        frame = (rng.standard_normal(_N_BINS) + 1j).astype(np.complex64)
+        assert ring.push(encode_slot(index, 1, 0.0, k / 25.0, frame))
+
+
 def test_detach_frees_the_session_and_its_detector(refcount_only):
     """Once the worker's detach returns, nothing in the worker holds the
     session: it and its detector are freed, while a neighbour whose rows
     shared the same fused stage-1 launch keeps running."""
     parent, child = multiprocessing.Pipe()
-    ring = ShmRing.create(256, slot_bytes_for(_N_BINS))
+    ring = ShmRing.create(_TICK_MAX, slot_bytes_for(_N_BINS))
     state = _WorkerState()
     rng = np.random.default_rng(3)
+    # Two sessions' rows in one tick: one fused launch over both.
+    per_session = _TICK_MAX // 2
     try:
         state.attach(_attach_msg(1, "gone"))
         state.attach(_attach_msg(2, "kept"))
-        for k in range(80):
-            for index in (1, 2):
-                frame = (rng.standard_normal(_N_BINS) + 1j).astype(np.complex64)
-                assert ring.push(encode_slot(index, 1, 0.0, k / 25.0, frame))
-        assert _tick(ring, child, state) == 160
+        _push(ring, 1, per_session, rng)
+        _push(ring, 2, per_session, rng)
+        assert _tick(ring, child, state) == 2 * per_session
         gone = state.by_id["gone"]
         refs = [weakref.ref(gone), weakref.ref(gone.detector)]
         del gone
@@ -110,11 +117,72 @@ def test_detach_frees_the_session_and_its_detector(refcount_only):
         report = state.detach("gone", ring, child)
 
         assert [ref() for ref in refs] == [None, None]
-        assert report.consumed == {"gone": 80, "kept": 80}
+        assert report.consumed == {"gone": per_session, "kept": per_session}
         assert "gone" in report.states
         assert list(state.by_id) == ["kept"]
         assert list(state.by_index) == [2]
-        assert state.consumed == {"kept": 80}
+        assert state.consumed == {"kept": per_session}
+    finally:
+        parent.close()
+        child.close()
+        ring.close()
+        ring.unlink()
+
+
+class _RecordingConn:
+    """Worker-side pipe end that keeps what the worker sends."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self.sent: list[object] = []
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        return self._conn.poll(timeout)
+
+    def recv(self) -> object:
+        return self._conn.recv()
+
+    def send(self, msg: object) -> None:
+        self.sent.append(msg)
+
+
+def test_detach_behind_a_backlog_reports_every_tick():
+    """A detach queued behind a neighbour's backlog drains it tick by
+    tick, and ships each tick's results as it goes: the work of the pass
+    that read the detach first, then one report per drain tick, none
+    covering more than one tick. Otherwise the neighbour's ACKs stall
+    for the whole drain, and a kill mid-drain costs every frame drained
+    so far instead of at most one tick."""
+    backlog = 3 * _TICK_MAX + 5
+    parent, child = multiprocessing.Pipe()
+    conn = _RecordingConn(child)
+    ring = ShmRing.create(backlog + 8, slot_bytes_for(_N_BINS))
+    state = _WorkerState()
+    rng = np.random.default_rng(5)
+    try:
+        state.attach(_attach_msg(1, "gone"))
+        state.attach(_attach_msg(2, "kept"))
+        _push(ring, 1, 8, rng)
+        _push(ring, 2, backlog, rng)
+        # The main loop's pass: one tick, then the detach it read.
+        worked = _tick(ring, conn, state)
+        assert worked == _TICK_MAX
+
+        final = state.detach("gone", ring, conn)
+
+        reports = [msg for msg in conn.sent if isinstance(msg, ShardReport)]
+        assert len(reports) == len(conn.sent)
+        # The pass's pending report, then one per drain tick.
+        assert len(reports) == 1 + math.ceil((backlog + 8 - worked) / _TICK_MAX)
+        covered = 0
+        for report in [*reports, final]:
+            total = sum(report.consumed.values())
+            assert total - covered <= _TICK_MAX
+            assert sum(n for _, n, _ in report.batches) <= _TICK_MAX
+            covered = total
+        assert sum(reports[0].consumed.values()) == worked
+        assert final.consumed == {"gone": 8, "kept": backlog}
+        assert ring.size == 0
     finally:
         parent.close()
         child.close()

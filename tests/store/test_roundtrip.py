@@ -165,6 +165,10 @@ class TestRoundTrip:
                 writer.append_batch(np.zeros((3, 7), dtype=np.complex64))
         with pytest.raises(StoreFormatError):
             TraceWriter(tmp_path / "x.rst", n_bins=8, frame_rate_hz=25.0, dtype=np.float64)
+        # The format is little-endian: a big-endian on-disk dtype is
+        # refused, not written under the little-endian code.
+        with pytest.raises(StoreFormatError):
+            TraceWriter(tmp_path / "y.rst", n_bins=8, frame_rate_hz=25.0, dtype=">c8")
 
     def test_non_store_file_rejected(self, tmp_path):
         junk = tmp_path / "junk.rst"

@@ -1,6 +1,6 @@
 """CI smoke check for the process-sharded fleet runtime (``repro.shard``).
 
-Two phases, both run for real (worker processes, shared-memory rings):
+Three phases, all run for real (worker processes, shared-memory rings):
 
 1. **Crash recovery.** A 4-shard fleet streams synthetic frames into 8
    sessions; one worker is SIGKILLed mid-stream. The check gates on the
@@ -21,7 +21,10 @@ Two phases, both run for real (worker processes, shared-memory rings):
    frames, drains and detaches. The worker's resident set (``VmRSS``)
    may grow by at most a small bound between the 10th session and the
    last, so a worker's memory follows the sessions it serves now, not
-   every session it has served. Linux only (it reads ``/proc``).
+   every session it has served. The fleet's own ``/metrics`` export
+   must carry the worker's ``repro_shard_rss_bytes{shard="0"}`` series
+   and agree with ``VmRSS`` within a few MB. Linux only (it reads
+   ``/proc``).
 
 Exit status 0 on success, 1 with a diagnostic on any failure::
 
@@ -60,6 +63,9 @@ _CHURN_SESSIONS = 60
 _CHURN_FRAMES = 400
 _CHURN_WARM = 10
 _CHURN_BOUND_MB = 10.0
+#: Allowed gap between the exported per-shard RSS gauge (read by the
+#: worker at its last report) and the worker's VmRSS read afterwards.
+_RSS_GAUGE_TOLERANCE_MB = 5.0
 
 
 def crash_lost(session: IngestSession) -> int:
@@ -151,6 +157,16 @@ def vm_rss_mb(pid: int) -> float:
     raise RuntimeError(f"no VmRSS for pid {pid}")
 
 
+def rss_gauge_mb(fleet: ShardedFleet, shard: int) -> float | None:
+    """A shard's ``repro_shard_rss_bytes`` series on the fleet's
+    ``/metrics`` text, in MB; None when the series is missing."""
+    prefix = f'repro_shard_rss_bytes{{shard="{shard}"}} '
+    for line in fleet.metrics.render_prometheus().splitlines():
+        if line.startswith(prefix):
+            return float(line[len(prefix) :]) / 2**20
+    return None
+
+
 def run_churn_phase(args: argparse.Namespace) -> list[str]:
     if not Path("/proc/self/status").exists():
         print("churn phase skipped: no /proc to read a worker's VmRSS")
@@ -190,9 +206,25 @@ def run_churn_phase(args: argparse.Namespace) -> list[str]:
             session.close()
             if k in (_CHURN_WARM, _CHURN_SESSIONS):
                 rss_mb[k] = vm_rss_mb(fleet.shard_pid(0))
+        gauge_mb = rss_gauge_mb(fleet, 0)
         crashes = int(fleet.metrics.counter("fleet.shard_crashes").value)
     finally:
         fleet.stop()
+    if gauge_mb is None:
+        failures.append('/metrics carries no repro_shard_rss_bytes{shard="0"} series')
+    else:
+        gap = gauge_mb - rss_mb[_CHURN_SESSIONS]
+        print(
+            f"churn phase: /metrics shard RSS gauge {gauge_mb:.1f} MB, "
+            f"VmRSS {rss_mb[_CHURN_SESSIONS]:.1f} MB (gap {gap:+.1f} MB, "
+            f"bound {_RSS_GAUGE_TOLERANCE_MB:g} MB)"
+        )
+        if abs(gap) > _RSS_GAUGE_TOLERANCE_MB:
+            failures.append(
+                f"shard RSS gauge {gauge_mb:.1f} MB disagrees with VmRSS "
+                f"{rss_mb[_CHURN_SESSIONS]:.1f} MB by more than "
+                f"{_RSS_GAUGE_TOLERANCE_MB:g} MB"
+            )
     if crashes:
         failures.append(f"{crashes} shard crash(es) during the churn phase")
     growth = rss_mb[_CHURN_SESSIONS] - rss_mb[_CHURN_WARM]
