@@ -55,7 +55,7 @@ def timed_fps(run, n_frames: int, *, warmup=None, repeats: int = 3):
     and frames/s for ``run()``, with warm-up excluded from the window.
 
     ``warmup`` executes once, *before* the first timestamp, so one-time
-    costs — the lazy scipy import, scratch-buffer growth, page faults on
+    costs — first-call imports, scratch-buffer growth, page faults on
     fresh buffers — are charged to no steady-state frame. (The previous
     ad-hoc loops timed their warm-up iterations inside the measured
     window *and* counted those frames in the reported fps, inflating

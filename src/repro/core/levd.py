@@ -33,16 +33,15 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from repro.dsp.stats import SortedWindow
+from repro.dsp.stats import SortedWindow, ndtri
 
 __all__ = ["BlinkDetection", "LevdConfig", "LocalExtremeValueDetector", "detect_blinks"]
 
 
 def _gaussian_quantile_divisor(q: float) -> float:
     """Φ⁻¹((1+q)/2): scales the q-quantile of |x| into a Gaussian σ."""
-    return float(ndtri((1.0 + q) / 2.0))
+    return ndtri((1.0 + q) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,8 @@ class LocalExtremeValueDetector:
         self._merge_frames = self._frames(self.config.merge_window_s)
         self._refractory_frames = self._frames(self.config.refractory_s)
         self._max_gap_frames = self._frames(self.config.max_pair_gap_s)
-        # Pay the scipy import (seconds, once per interpreter) here at
-        # bring-up, never inside the streaming hot path.
+        # A constant of the config: computed once at bring-up, never
+        # inside the streaming hot path.
         self._sigma_divisor = _gaussian_quantile_divisor(self.config.sigma_quantile)
 
     def reset(self) -> None:

@@ -5,6 +5,10 @@ responder with exactly three routes:
 
 - ``GET /metrics`` — the shared registry in Prometheus text exposition
   format (:meth:`~repro.fleet.metrics.MetricsRegistry.render_prometheus`).
+  Each render first sets the ``process.rss_bytes`` and
+  ``process.peak_rss_bytes`` gauges from this process's VmRSS and VmHWM
+  (``repro_process_rss_bytes``, ``repro_process_peak_rss_bytes``); where
+  there is no ``/proc``, neither series appears.
 - ``GET /healthz`` — a JSON liveness snapshot (the gateway's
   :meth:`~repro.gateway.server.GatewayServer.health` payload).
 - ``GET /ready`` — readiness probe: 200 while the gateway accepts
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 from typing import Any, Callable
 
 from repro.fleet.metrics import MetricsRegistry
@@ -30,6 +35,33 @@ _MAX_REQUEST_BYTES = 8192
 
 #: Content type Prometheus scrapers expect for the text format.
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Where this process's resident and peak resident set are read from.
+_PROC_STATUS = "/proc/self/status"
+
+#: ``/proc/<pid>/status`` field -> the registry gauge it sets.
+_MEMORY_GAUGES = {b"VmRSS": "process.rss_bytes", b"VmHWM": "process.peak_rss_bytes"}
+
+
+def _record_process_memory(registry: MetricsRegistry) -> None:
+    """Set the process memory gauges from VmRSS and VmHWM (kB), if readable.
+
+    One ``os.open``/``read``/``close`` of procfs per scrape (about 30 µs);
+    nothing on the frame path reads it.
+    """
+    try:
+        fd = os.open(_PROC_STATUS, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        status = os.read(fd, 16384)
+    finally:
+        os.close(fd)
+    for line in status.splitlines():
+        key, _, value = line.partition(b":")
+        name = _MEMORY_GAUGES.get(key)
+        if name is not None:
+            registry.gauge(name).set(int(value.split()[0]) * 1024)
 
 
 def _response(status: int, reason: str, content_type: str, body: bytes) -> bytes:
@@ -132,6 +164,7 @@ class MetricsHttpServer:
         if method != "GET":
             return _response(405, "Method Not Allowed", "text/plain", b"GET only\n")
         if target == "/metrics":
+            _record_process_memory(self.registry)
             body = self.registry.render_prometheus(self.namespace).encode("utf-8")
             return _response(200, "OK", _PROM_CONTENT_TYPE, body)
         if target == "/healthz":

@@ -2,7 +2,7 @@
 
 Kept separate from :mod:`repro.cli`, which forwards the ``lint``
 arguments here and imports this module only when that command runs:
-the linter stays importable without numpy/scipy, and a serving process
+the linter stays importable without numpy, and a serving process
 (``python -m repro gateway serve``) never loads it.
 """
 

@@ -1,7 +1,7 @@
 """Import warm-up for shard worker processes.
 
-Importing this module pays every heavy import a worker needs — numpy,
-scipy and the detector stack — so it can happen *once* in the forkserver
+Importing this module pays every heavy import a worker needs — numpy
+and the detector stack — so it can happen *once* in the forkserver
 parent (via ``set_forkserver_preload``) or before a spawned worker
 reports Ready, never while frames are in flight.
 """

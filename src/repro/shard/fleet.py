@@ -170,7 +170,7 @@ class ShardedFleet:
     def start(self, start_timeout_s: float = 120.0) -> None:
         """Spawn the shard workers and wait until every one is warm.
 
-        Blocking: worker start-up pays the interpreter + scipy imports
+        Blocking: worker start-up pays the interpreter + numpy imports
         (amortised by the forkserver preload where available), and
         waiting here keeps that cost out of the first frames' latency.
         """

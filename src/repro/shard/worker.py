@@ -87,7 +87,7 @@ _IDLE_POLL_S = 0.002
 def mp_context() -> Any:
     """The start-method context shard workers use.
 
-    Forkserver with a warmed preload (scipy, numpy, the detector stack)
+    Forkserver with a warmed preload (numpy, the detector stack)
     where the platform offers it — forks are then cheap and never
     inherit the parent's threads — falling back to spawn elsewhere.
     """

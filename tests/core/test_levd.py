@@ -1,10 +1,5 @@
 """Tests for repro.core.levd."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,27 +45,6 @@ class TestGaussianDivisor:
 
         for q in [*np.linspace(0.01, 0.99, 99).tolist(), 0.62, 0.95, 0.995]:
             assert _gaussian_quantile_divisor(q) == float(norm.ppf((1.0 + q) / 2.0)), q
-
-    def test_session_bring_up_leaves_scipy_stats_unloaded(self):
-        # A fresh interpreter: scipy.stats costs about a second and 45 MB
-        # there, and the gateway brings sessions up on its event loop.
-        probe = (
-            "import sys\n"
-            "from repro.gateway.ingest import IngestSession\n"
-            "session = IngestSession('s', n_bins=32, frame_rate_hz=25.0)\n"
-            "session.start()\n"
-            "session.close()\n"
-            "print('scipy.stats' in sys.modules)\n"
-        )
-        src = Path(__file__).resolve().parents[2] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            check=True,
-        )
-        assert proc.stdout.strip() == "False"
 
 
 class TestOfflineDetection:

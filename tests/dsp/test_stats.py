@@ -1,11 +1,13 @@
 """Tests for repro.dsp.stats."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsp.stats import RunningStats, empirical_cdf, mad_sigma, percentile_of
+from repro.dsp.stats import RunningStats, empirical_cdf, mad_sigma, ndtri, percentile_of
 
 
 class TestMadSigma:
@@ -84,3 +86,47 @@ class TestPercentileOf:
     def test_bad_q_rejected(self):
         with pytest.raises(ValueError):
             percentile_of(np.arange(10.0), 101)
+
+
+class TestNdtri:
+    """The port against its reference, ``scipy.special.ndtri``, bit for bit."""
+
+    @staticmethod
+    def _assert_identical(ps):
+        from scipy.special import ndtri as reference
+
+        expected = reference(np.asarray(ps, dtype=float)).tolist()
+        mismatches = [
+            (p, got, want)
+            for p, want in zip(ps, expected)
+            for got in [ndtri(p)]
+            if not (got == want or (math.isnan(got) and math.isnan(want)))
+        ]
+        assert mismatches == [], mismatches[:5]
+
+    def test_bit_identical_on_a_dense_set(self):
+        rng = np.random.default_rng(2024)
+        ps = np.concatenate([
+            rng.random(20_000),  # mostly the central branch
+            10.0 ** rng.uniform(-300.0, -0.87, 10_000),  # lower tail, both z ranges
+            1.0 - 10.0 ** rng.uniform(-16.0, -0.87, 10_000),  # upper tail
+            np.linspace(0.0, 1.0, 10_001),
+        ])
+        self._assert_identical(ps.tolist())
+
+    def test_bit_identical_at_the_branch_edges(self):
+        edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0)]
+        ps = [
+            q
+            for edge in edges
+            for q in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0))
+        ]
+        ps += [0.5, 5e-324, 2.2250738585072014e-308, math.nextafter(1.0, 0.0)]
+        self._assert_identical(ps)
+
+    def test_values_outside_the_open_interval_match_scipy(self):
+        assert ndtri(0.0) == -math.inf
+        assert ndtri(1.0) == math.inf
+        for p in [math.nan, -0.5, -1e-300, 1.0 + 1e-15, 2.0, math.inf, -math.inf]:
+            assert math.isnan(ndtri(p)), p
+        self._assert_identical([0.0, 1.0, math.nan, -0.5, 2.0, math.inf, -math.inf])

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.fleet.metrics import MetricsRegistry
+from repro.gateway import http
 from repro.gateway.http import MetricsHttpServer
 
 
@@ -56,6 +60,35 @@ class TestMetricsRoute:
         assert "repro_gateway_frames_received_total 42" in text
         assert "repro_gateway_connections_open 3" in text
         assert 'repro_session_latency_s{session="v00",quantile="0.5"}' in text
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc")
+    def test_scrape_reports_this_process_memory(self):
+        async def scrape(server):
+            return await _request(server.port, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+
+        _, _, body = _with_server(MetricsRegistry(), scrape)
+        status = dict(
+            line.split(":", 1) for line in Path("/proc/self/status").read_text().splitlines()
+        )
+        text = body.decode()
+        series = dict(line.rsplit(" ", 1) for line in text.splitlines() if line[0] != "#")
+        assert "# TYPE repro_process_rss_bytes gauge" in text
+        assert "# TYPE repro_process_peak_rss_bytes gauge" in text
+        rss = int(series["repro_process_rss_bytes"])
+        peak = int(series["repro_process_peak_rss_bytes"])
+        assert 0 < rss <= peak
+        # The server runs in this process: its gauges read our own status.
+        assert abs(rss - int(status["VmRSS"].split()[0]) * 1024) < 5 * 2**20
+        assert peak <= int(status["VmHWM"].split()[0]) * 1024
+
+    def test_no_process_memory_series_without_proc(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(http, "_PROC_STATUS", str(tmp_path / "missing"))
+
+        async def scrape(server):
+            return await _request(server.port, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+
+        _, _, body = _with_server(MetricsRegistry(), scrape)
+        assert "repro_process" not in body.decode()
 
     def test_health_route_reports_payload(self):
         async def probe(server):

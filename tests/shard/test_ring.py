@@ -31,6 +31,12 @@ def _frame(n_bins: int = 8, dtype=np.complex128) -> np.ndarray:
     return (np.arange(n_bins) + 1j * np.arange(n_bins)).astype(dtype)
 
 
+# A peeked RingFrame is a view into the segment, and a live view makes
+# closing the segment raise BufferError. Each test reads what it checks,
+# drops the view and advances first, then asserts: a failed assert must
+# not leave a view pinned in its traceback.
+
+
 @pytest.fixture()
 def ring():
     ring = ShmRing.create(4, slot_bytes_for(8))
@@ -44,32 +50,34 @@ class TestSlotCodec:
         frame = _frame()
         assert ring.push(encode_slot(7, 3, 0.25, 12.5, frame))
         [rf] = ring.peek(1)
-        assert isinstance(rf, RingFrame)
-        assert rf.session_index == 7
-        assert rf.generation == 3
-        assert rf.enqueued_at == 0.25
-        assert rf.timestamp_s == 12.5
-        np.testing.assert_array_equal(rf.frame, frame)
-        assert rf.frame.dtype == np.complex128
+        is_ring_frame = isinstance(rf, RingFrame)
+        route = (rf.session_index, rf.generation, rf.enqueued_at, rf.timestamp_s)
+        got = rf.frame.copy()
         del rf
         ring.advance(1)
+        assert is_ring_frame
+        assert route == (7, 3, 0.25, 12.5)
+        np.testing.assert_array_equal(got, frame)
+        assert got.dtype == np.complex128
 
     def test_complex64_roundtrip(self, ring):
         frame = _frame(dtype=np.complex64)
         assert ring.push(encode_slot(0, 1, 0.0, 0.0, frame))
         [rf] = ring.peek(1)
-        assert rf.frame.dtype == np.complex64
-        np.testing.assert_array_equal(rf.frame, frame)
+        got = rf.frame.copy()
         del rf
         ring.advance(1)
+        assert got.dtype == np.complex64
+        np.testing.assert_array_equal(got, frame)
 
     def test_peek_is_zero_copy_view_into_shared_memory(self, ring):
         assert ring.push(encode_slot(0, 1, 0.0, 0.0, _frame()))
         [rf] = ring.peek(1)
-        # A view, not a copy: the frame's buffer is the shm mapping.
-        assert not rf.frame.flags["OWNDATA"]
+        owns_data = rf.frame.flags["OWNDATA"]
         del rf
         ring.advance(1)
+        # A view, not a copy: the frame's buffer is the shm mapping.
+        assert not owns_data
 
     def test_oversized_frame_rejected(self, ring):
         with pytest.raises(ValueError):
@@ -115,10 +123,9 @@ class TestBackpressure:
         for _ in range(4):
             assert ring.push(slot)
         assert not ring.push(slot)
-        frames = ring.peek(2)
-        assert len(frames) == 2
-        del frames
+        peeked = len(ring.peek(2))
         ring.advance(2)
+        assert peeked == 2
         assert ring.push(slot)
         assert ring.push(slot)
         assert not ring.push(slot)
@@ -127,9 +134,7 @@ class TestBackpressure:
         slot = encode_slot(0, 1, 0.0, 0.0, _frame())
         for _ in range(4):
             ring.push(slot)
-        frames = ring.peek(3)
-        assert len(frames) == 3
-        del frames
+        assert len(ring.peek(3)) == 3
 
 
 class TestIntegrity:
@@ -150,11 +155,12 @@ class TestIntegrity:
         other = ShmRing.attach(ring.name)
         try:
             [rf] = other.peek(1)
-            assert rf.session_index == 5
-            np.testing.assert_array_equal(rf.frame, frame)
+            session_index, got = rf.session_index, rf.frame.copy()
             del rf
         finally:
             other.close()
+        assert session_index == 5
+        np.testing.assert_array_equal(got, frame)
 
     def test_attach_rejects_foreign_segment(self):
         from multiprocessing import shared_memory

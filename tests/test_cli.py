@@ -56,6 +56,33 @@ class TestParser:
         )
         assert proc.stdout.strip() == "[]"
 
+    def test_serving_stack_does_not_load_scipy(self):
+        # A fresh interpreter: the reference tests load scipy into this
+        # one. Importing it costs every serving process (the server, the
+        # forkserver, each shard worker) about 0.3 s and 13-20 MB, and the
+        # gateway brings sessions up on its event loop.
+        probe = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser().parse_args(['gateway', 'serve'])\n"
+            "import repro.fleet.scheduler, repro.gateway.http, repro.gateway.server\n"
+            "import repro.shard, repro.shard._preload\n"
+            "from repro.gateway.ingest import IngestSession\n"
+            "session = IngestSession('s', n_bins=32, frame_rate_hz=25.0)\n"
+            "session.start()\n"
+            "session.close()\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
 
 class TestCommands:
     def test_simulate_then_detect(self, tmp_path, capsys):

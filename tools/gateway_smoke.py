@@ -14,7 +14,10 @@ gates on:
    what the clients sent, and every received frame is accounted once:
    received = processed + queue, stale and crash drops + unrouted.
    Every vehicle has said BYE by the scrape, so no per-session series
-   may remain. ``/healthz`` and ``/ready`` must answer 200.
+   may remain. The server's own memory (``repro_process_rss_bytes``,
+   ``repro_process_peak_rss_bytes``) must agree with this process's
+   ``/proc/self/status`` (the server runs in it) within 5 MB, where
+   there is a ``/proc``. ``/healthz`` and ``/ready`` must answer 200.
 3. **Bit-identical ingest.** Every server-side recording's content hash
    equals the source trace's.
 
@@ -51,6 +54,13 @@ from repro.store.writer import TraceWriter  # noqa: E402
 _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (?:[0-9.eE+-]+|NaN)$"
 )
+
+#: How far the scraped memory gauges may sit from ``/proc/self/status``
+#: read just after the scrape, in bytes.
+_MEMORY_TOLERANCE_BYTES = 5 * 2**20
+
+#: Scraped series -> the ``/proc/self/status`` field it must match.
+_MEMORY_SERIES = {"repro_process_rss_bytes": "VmRSS", "repro_process_peak_rss_bytes": "VmHWM"}
 
 #: Where a received frame ends up once the fleet is drained; a family
 #: missing from the scrape counts as 0.
@@ -93,6 +103,20 @@ async def http_get(port: int, path: str) -> tuple[int, bytes]:
     return status, body
 
 
+def proc_status_bytes(pid: int | str, fields: set[str]) -> dict[str, int] | None:
+    """The given kB fields of ``/proc/<pid>/status`` in bytes; None without it."""
+    try:
+        lines = Path(f"/proc/{pid}/status").read_text().splitlines()
+    except OSError:
+        return None
+    values = {}
+    for line in lines:
+        key, _, value = line.partition(":")
+        if key in fields:
+            values[key] = int(value.split()[0]) * 1024
+    return values
+
+
 def check_scrape(text: str, frames_sent: int) -> list[str]:
     """Return a list of problems with the /metrics payload (empty = ok).
 
@@ -121,6 +145,16 @@ def check_scrape(text: str, frames_sent: int) -> list[str]:
     outcomes = {name: samples.get(name, 0.0) for name in _FRAME_OUTCOMES}
     if received != sum(outcomes.values()):
         problems.append(f"received {received:g} frames, but they sum to {outcomes}")
+    status = proc_status_bytes("self", set(_MEMORY_SERIES.values()))
+    if status is None:
+        return problems
+    for series, field in _MEMORY_SERIES.items():
+        if series not in samples:
+            problems.append(f"scrape lacks {series}")
+        elif abs(samples[series] - status[field]) > _MEMORY_TOLERANCE_BYTES:
+            problems.append(
+                f"{series} = {samples[series]:.0f} B, but {field} reads {status[field]} B"
+            )
     return problems
 
 

@@ -151,10 +151,10 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
 
 def vm_rss_mb(pid: int) -> float:
     """A process's resident set, from ``/proc/<pid>/status``."""
-    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
-        if line.startswith("VmRSS:"):
-            return int(line.split()[1]) / 1024.0
-    raise RuntimeError(f"no VmRSS for pid {pid}")
+    status = gateway_smoke.proc_status_bytes(pid, {"VmRSS"})
+    if not status:
+        raise RuntimeError(f"no VmRSS for pid {pid}")
+    return status["VmRSS"] / 2**20
 
 
 def rss_gauge_mb(fleet: ShardedFleet, shard: int) -> float | None:
