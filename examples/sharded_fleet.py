@@ -23,7 +23,7 @@ import time
 from repro.fleet.events import FrameDropEvent
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
-from repro.gateway.ingest import IngestSession
+from repro.fleet.session import DetectorSession
 from repro.physio import ParticipantProfile
 from repro.shard.fleet import ShardedFleet
 from repro.sim import Scenario, simulate
@@ -71,8 +71,8 @@ def act_one_bit_identity(trace):
     threaded = FleetScheduler(workers=2, metrics=metrics)
     threaded.start()
     t_sessions = [
-        IngestSession(f"v{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
-                      metrics=metrics)
+        DetectorSession(f"v{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
+                        metrics=metrics)
         for k in range(N_VEHICLES)
     ]
     stream(threaded, trace, t_sessions)
@@ -85,8 +85,8 @@ def act_one_bit_identity(trace):
     sharded = ShardedFleet(workers=2, slot_bins=trace.n_bins)
     sharded.start()
     s_sessions = [
-        IngestSession(f"v{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
-                      metrics=sharded.metrics)
+        DetectorSession(f"v{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
+                        metrics=sharded.metrics)
         for k in range(N_VEHICLES)
     ]
     stream(sharded, trace, s_sessions)
@@ -105,8 +105,8 @@ def act_two_crash(trace):
     fleet = ShardedFleet(workers=4, slot_bins=trace.n_bins)
     fleet.start()
     sessions = [
-        IngestSession(f"c{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
-                      metrics=fleet.metrics)
+        DetectorSession(f"c{k}", n_bins=trace.n_bins, frame_rate_hz=trace.frame_rate_hz,
+                        metrics=fleet.metrics)
         for k in range(N_VEHICLES)
     ]
     for session in sessions:

@@ -5,13 +5,16 @@ driver's blinks; this package runs *many* of those pipelines as a
 supervised, observable service — the host-side orchestration layer a
 deployed BlinkRadar fleet needs:
 
-- :mod:`repro.fleet.session` — :class:`DetectorSession`, a lifecycle
-  state machine (INIT → COLD_START → RUNNING ⇄ DEGRADED → STOPPED) with
-  SPI-fault recovery via chip soft-reset.
+- :mod:`repro.fleet.session` — :class:`DetectorSession`, the streaming
+  detector a serve backend runs, in a lifecycle state machine
+  (INIT → COLD_START ⇄ RUNNING → STOPPED) clocked by its frames' device
+  time; and :class:`EmulatedSession`, the same session around an
+  emulated chip, SPI wire and driver, which adds DEGRADED and SPI-fault
+  recovery via chip soft-reset.
 - :mod:`repro.fleet.backend` — :class:`ServeBackend`, the contract every
   detector pool implements (this package's threaded scheduler and
   :mod:`repro.shard`'s process fleet), the queue ledger both share, and
-  :func:`run_to_completion`, the one pump that drives simulated sessions
+  :func:`run_to_completion`, the one pump that drives emulated sessions
   through either.
 - :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, the thread-pool
   backend with bounded per-session queues and drop-newest backpressure.
@@ -39,13 +42,14 @@ from repro.fleet.faults import SpiFaultInjector
 from repro.fleet.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.service import FleetService, VehicleSpec
-from repro.fleet.session import DetectorSession, SessionConfig, SessionState
+from repro.fleet.session import DetectorSession, EmulatedSession, SessionConfig, SessionState
 
 __all__ = [
     "BlinkEvent",
     "Counter",
     "DetectorSession",
     "DrowsyAlertEvent",
+    "EmulatedSession",
     "FaultEvent",
     "FleetEvent",
     "FleetScheduler",

@@ -46,13 +46,12 @@ worker-side.
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Callable
 from typing import Protocol
 
 from repro.fleet.events import FrameDropEvent
 from repro.fleet.metrics import MetricsRegistry
-from repro.fleet.session import DetectorSession, FrameItem, SessionState
+from repro.fleet.session import DetectorSession, EmulatedSession, FrameItem, SessionState
 
 __all__ = ["ServeBackend", "account_queue", "run_to_completion"]
 
@@ -106,20 +105,19 @@ def account_queue(
 
 def run_to_completion(
     backend: ServeBackend,
-    sessions: list[DetectorSession],
+    sessions: list[EmulatedSession],
     max_rounds: int | None = None,
-    pace_s: float | None = None,
 ) -> int:
     """Pump ``sessions`` through ``backend`` until they finish; returns rounds.
 
     Sessions still in INIT are started, the backend is started, and
     every session is attached. Each round then advances every active
     session one frame period (device time stays in lockstep across the
-    fleet) and submits what it produced; ``fleet.rounds`` counts the
-    rounds on the backend's registry, and ``pace_s`` sleeps between
-    rounds for real-time cadence. Once no session is producing (or after
-    ``max_rounds``), the pump waits on the sessions' completion hooks,
-    not a timer, until the backend is idle. Finally every session is
+    fleet) and submits what it produced, as fast as the sessions
+    produce; ``fleet.rounds`` counts the rounds on the backend's
+    registry. Once no session is producing (or after ``max_rounds``),
+    the pump waits on the sessions' completion hooks, not a timer,
+    until the backend is idle. Finally every session is
     detached, the backend stopped, and every session closed (in
     processing order: the last results are applied before ``close``
     stamps STOPPED). Blocks the calling thread.
@@ -148,8 +146,6 @@ def run_to_completion(
             backend.metrics.counter("fleet.rounds").inc()
             if not alive:
                 break
-            if pace_s:
-                time.sleep(pace_s)
         while True:
             # Cleared before the check: a batch finishing after it sets
             # the event again, so no completion is missed.

@@ -106,8 +106,8 @@ class FleetScheduler:
         """Register an externally-owned session (before or after :meth:`start`).
 
         The session's frames are expected through :meth:`submit`; the
-        scheduler never calls :meth:`~DetectorSession.produce` or
-        :meth:`~DetectorSession.close` on it — production and lifecycle
+        scheduler never calls :meth:`~repro.fleet.session.EmulatedSession.produce`
+        or :meth:`~DetectorSession.close` on it — production and lifecycle
         stay with the caller (the gateway's connection handler, or the
         pump).
 

@@ -2,7 +2,7 @@
 
 The service composes everything below it: it simulates one driving
 world per vehicle (:mod:`repro.sim`), builds a supervised
-:class:`~repro.fleet.session.DetectorSession` per vehicle (optionally
+:class:`~repro.fleet.session.EmulatedSession` per vehicle (optionally
 behind a :class:`~repro.fleet.faults.SpiFaultInjector`), drives them all
 through one serve backend (:class:`~repro.fleet.scheduler.FleetScheduler`
 threads by default, or a :class:`~repro.shard.fleet.ShardedFleet`) with
@@ -35,7 +35,7 @@ from repro.fleet.events import FleetEvent
 from repro.fleet.faults import SpiFaultInjector
 from repro.hardware.spi import SpiSlave
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.session import DetectorSession, SessionConfig
+from repro.fleet.session import EmulatedSession, SessionConfig
 
 __all__ = ["VehicleSpec", "FleetService"]
 
@@ -95,24 +95,12 @@ class FleetService:
         The serve backend the sessions run on (default: a
         :class:`FleetScheduler` with its defaults). Its registry is the
         service's :attr:`metrics`.
-    session_config:
-        Policy shared by every session the service builds.
-    pace_s:
-        Optional sleep per pump round, to pump at real-time cadence
-        instead of as fast as possible.
     """
 
-    def __init__(
-        self,
-        backend: ServeBackend | None = None,
-        session_config: SessionConfig | None = None,
-        pace_s: float | None = None,
-    ) -> None:
+    def __init__(self, backend: ServeBackend | None = None) -> None:
         self.backend: ServeBackend = backend if backend is not None else FleetScheduler()
-        self.session_config = session_config if session_config is not None else SessionConfig()
-        self.pace_s = pace_s
         self.metrics = self.backend.metrics
-        self.sessions: dict[str, DetectorSession] = {}
+        self.sessions: dict[str, EmulatedSession] = {}
         self.traces: dict[str, object] = {}
         self._events: list[FleetEvent] = []  # reprolint: guarded-by(_events_lock)
         self._events_lock = threading.Lock()
@@ -138,15 +126,13 @@ class FleetService:
         session_id: str,
         frames: np.ndarray,
         wire_factory: Callable[[SpiSlave], SpiSlave] | None = None,
-        config: SessionConfig | None = None,
-    ) -> DetectorSession:
+    ) -> EmulatedSession:
         """Register a session over pre-built frames (no simulation)."""
         if session_id in self.sessions:
             raise ValueError(f"duplicate session id {session_id!r}")
-        session = DetectorSession(
+        session = EmulatedSession(
             session_id,
             frames,
-            config=config if config is not None else self.session_config,
             wire_factory=wire_factory,
             metrics=self.metrics,
             sink=self._record,
@@ -154,7 +140,7 @@ class FleetService:
         self.sessions[session_id] = session
         return session
 
-    def add_vehicle(self, spec: VehicleSpec) -> DetectorSession:
+    def add_vehicle(self, spec: VehicleSpec) -> EmulatedSession:
         """Simulate ``spec``'s driving world and register its session."""
         from repro.physio import ParticipantProfile
         from repro.rf.geometry import SensorPose
@@ -170,7 +156,7 @@ class FleetService:
         trace = simulate(scenario, seed=spec.seed)
         wire_factory: Callable[[SpiSlave], SpiSlave] | None = None
         if spec.fault_at_s is not None:
-            frame_rate = 100.0 / self.session_config.frame_rate_div
+            frame_rate = 100.0 / SessionConfig().frame_rate_div
             fault_tx = _TX_STARTUP + _TX_PER_FRAME * int(spec.fault_at_s * frame_rate)
             wire_factory = lambda device: SpiFaultInjector(  # noqa: E731
                 device, fault_at=(fault_tx,), burst=spec.fault_burst
@@ -199,9 +185,7 @@ class FleetService:
         if not self.sessions:
             raise RuntimeError("no sessions registered")
         started = time.perf_counter()
-        rounds = run_to_completion(
-            self.backend, list(self.sessions.values()), max_rounds, self.pace_s
-        )
+        rounds = run_to_completion(self.backend, list(self.sessions.values()), max_rounds)
         self._wall_s = time.perf_counter() - started
         processed = self.metrics.counter("fleet.frames_processed").value
         self.metrics.gauge("fleet.wall_s").set(self._wall_s)

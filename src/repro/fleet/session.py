@@ -1,8 +1,12 @@
-"""One vehicle's detector session: a supervised lifecycle around the stack.
+"""Detector sessions: a supervised lifecycle around the streaming detector.
 
-:class:`DetectorSession` owns a full per-vehicle pipeline — emulated
-chip, (optionally faulty) SPI wire, host driver, frame stream, streaming
-blink detector — and wraps it in the state machine a service needs:
+:class:`DetectorSession` is what a serve backend runs: the detector, fed
+frames from outside (a gateway connection, a shard worker's ring, the
+pump), in the state machine a service needs. Its clock is the device
+time of the newest frame it processed. :class:`EmulatedSession` adds the
+vehicle — emulated chip, (optionally faulty) SPI wire, host driver and
+frame stream over a world of frames — and the recovery a deployed head
+unit performs:
 
 ::
 
@@ -16,16 +20,19 @@ blink detector — and wraps it in the state machine a service needs:
                                                      │ attempts exhausted
       source dry / stop() ──▶ STOPPED ◀──────────────┘
 
-A wire fault (:class:`~repro.hardware.spi.SpiError`) does not crash the
-session: it parks in DEGRADED, keeps *device time moving* (the chip keeps
-sampling into its FIFO — overflowing it, which is counted), then
-soft-resets and reconfigures the chip and re-enters a fresh 2 s cold
-start, exactly the recovery a deployed head unit performs.
+A :class:`DetectorSession` has no wire to fault: it never reaches
+DEGRADED, and reaches STOPPED at :meth:`~DetectorSession.close`.
+
+A wire fault (:class:`~repro.hardware.spi.SpiError`) does not crash an
+emulated session: it parks in DEGRADED, keeps *device time moving* (the
+chip keeps sampling into its FIFO — overflowing it, which is counted),
+then soft-resets and reconfigures the chip and re-enters a fresh 2 s
+cold start.
 
 Threading contract (enforced by :mod:`repro.fleet.scheduler`):
-:meth:`produce` is only ever called from the scheduler's pump thread and
-:meth:`process` from at most one worker at a time; the small amount of
-state they share is guarded by an internal lock.
+:meth:`EmulatedSession.produce` is only ever called from the pump thread
+and :meth:`DetectorSession.process` from at most one worker at a time;
+the small amount of state they share is guarded by an internal lock.
 """
 
 from __future__ import annotations
@@ -54,9 +61,9 @@ from repro.hardware.device import UwbRadarDevice
 from repro.hardware.driver import FrameStream, XepDriver
 from repro.hardware.spi import SpiBus, SpiError, SpiSlave
 
-__all__ = ["SessionState", "SessionConfig", "DetectorSession", "FrameItem"]
+__all__ = ["SessionState", "SessionConfig", "DetectorSession", "EmulatedSession", "FrameItem"]
 
-#: What the pump hands the workers: (generation, world time s, frame).
+#: What a backend hands the workers: (generation, device time s, frame).
 FrameItem = tuple[int, float, np.ndarray]
 
 
@@ -99,6 +106,10 @@ class SessionState(Enum):
 @dataclass(frozen=True)
 class SessionConfig:
     """Per-session policy knobs.
+
+    A :class:`DetectorSession` reads the drowsiness policy and the
+    detector configuration; the chip, FIFO and recovery knobs concern an
+    :class:`EmulatedSession` only.
 
     Attributes
     ----------
@@ -143,23 +154,20 @@ class SessionConfig:
 
 
 class DetectorSession:
-    """Supervised per-vehicle detection pipeline (see module docstring).
+    """Supervised streaming detector for one vehicle (see module docstring).
 
     Parameters
     ----------
     session_id:
         Stable identifier; prefixes every event and metric.
-    frames:
-        The vehicle's world: a (n_frames, n_bins) complex matrix the
-        emulated chip samples from, through a forward-only cursor the
-        session owns, so a chip reset never rewinds the world — frames
-        that elapse while the session is down are simply gone, as on a
-        road.
+    n_bins:
+        Fast-time bins per frame.
+    frame_rate_hz:
+        Slow-time frame rate. The detector is built with exactly this
+        rate, so blink apex stamps match a local replay of the same
+        frames.
     config:
         Policy knobs (:class:`SessionConfig`).
-    wire_factory:
-        Optional wrapper applied to the device before the bus sees it
-        (e.g. :class:`~repro.fleet.faults.SpiFaultInjector`).
     metrics:
         Shared registry; the session records under ``session.<id>.*``
         and aggregates under ``fleet.*``, only in :meth:`_emit` and
@@ -173,49 +181,32 @@ class DetectorSession:
     def __init__(
         self,
         session_id: str,
-        frames: np.ndarray,
+        n_bins: int,
+        frame_rate_hz: float,
         config: SessionConfig | None = None,
-        wire_factory: Callable[[SpiSlave], SpiSlave] | None = None,
         metrics: MetricsRegistry | None = None,
         sink: Callable[[FleetEvent], None] | None = None,
     ) -> None:
-        frames = np.asarray(frames)
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise ValueError(f"frames must be a non-empty (n_frames, n_bins) matrix, got {frames.shape}")
+        if n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+        if not frame_rate_hz > 0:
+            raise ValueError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
         self.session_id = session_id
+        self.n_bins = n_bins
+        self.frame_rate_hz = float(frame_rate_hz)
         self.config = config if config is not None else SessionConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sink = sink
-        self._world = _World(frames)
-        self.n_bins = frames.shape[1]
-        self.frame_rate_hz = 100.0 / self.config.frame_rate_div
-        self._period_s = 1.0 / self.frame_rate_hz
-
-        self.device = UwbRadarDevice(
-            frame_source=self._world,
-            fifo_capacity_bytes=self.config.fifo_frames * self.n_bins * 4,
-        )
-        self.wire: SpiSlave = wire_factory(self.device) if wire_factory else self.device
-        self.driver = XepDriver(SpiBus(self.wire), n_bins=self.n_bins)
 
         self._lock = threading.Lock()
         self._state = SessionState.INIT  # reprolint: guarded-by(_lock)
-        self._base_cursor = 0  # world index where the current incarnation began
-        self._drops_reported = 0  # per-incarnation FIFO drops already evented
-        self._backoff = 0
-        self._recovery_attempts = 0
-        self._pending_fault: str | None = None
-        self._restart_requested = False
-        self._stop_requested = False
+        self._generation = 0  # bumped at every bring-up  # reprolint: guarded-by(_lock)
         self._closed = False
-        #: True once the world ran dry: the pump must stop producing,
-        #: but STOPPED is only stamped after the queue drains (close()),
-        #: so worker-side transitions land in order.
-        self.draining = False
+        #: Device time and detector frame index of the newest processed
+        #: frame: the end-of-stream flush's anchor. The time is also the
+        #: session's clock.
         self._last_time_s = 0.0
         self._last_det_index = 0
-        self._generation = 0  # bumped at every bring-up  # reprolint: guarded-by(_lock)
-        self._stream: FrameStream | None = None
         self.detector: RealTimeBlinkDetector | None = None
         self._blink_times: deque[float] = deque()
         self._last_alert_time_s = float("-inf")
@@ -243,16 +234,15 @@ class DetectorSession:
 
     @property
     def time_s(self) -> float:
-        """Session device-time clock (seconds of world elapsed)."""
-        return self._world.cursor * self._period_s
+        """Session clock: device time of the newest processed frame."""
+        return self._last_time_s
 
     @property
     def generation(self) -> int:
         """Current detector incarnation (bumped at every bring-up).
 
-        External frame producers (the gateway's ingestion path) stamp
-        queued items with this so a restart mid-queue flushes the stale
-        backlog exactly as the pump's :meth:`produce` tagging does.
+        :meth:`make_item` stamps queued items with it, so a restart
+        mid-queue flushes the stale backlog.
         """
         with self._lock:
             return self._generation
@@ -287,9 +277,16 @@ class DetectorSession:
         if self._sink is not None:
             self._sink(event)
 
-    def _record_batch(self, n_frames: int, latencies: list[float]) -> None:
-        """Count one processed batch and observe its enqueue-to-done latencies."""
+    def _record_batch(self, n_frames: int, latencies: list[float], time_s: float) -> None:
+        """Count one processed batch and observe its enqueue-to-done latencies.
+
+        ``time_s`` is the device time of the batch's newest frame, which
+        becomes the session's clock. The sharded parent replays a shard
+        worker's batches through this method, so its clock moves with
+        the worker's.
+        """
         self.frames_processed += n_frames
+        self._last_time_s = time_s
         self._count("frames_processed", n_frames)
         if latencies:
             own = self.metrics.histogram(f"session.{self.session_id}.latency_s")
@@ -304,8 +301,8 @@ class DetectorSession:
 
     def _transition(self, new_state: SessionState, at_s: float | None = None) -> None:
         # at_s: device-time stamp; worker-side transitions pass the time
-        # of the frame that caused them (the cursor clock runs ahead of
-        # the queue when the pump is unpaced).
+        # of the frame that caused them (an emulated session's world
+        # clock runs ahead of the queue).
         with self._lock:
             old = self._state
             if old is new_state:
@@ -333,134 +330,31 @@ class DetectorSession:
 
     # --------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Probe, configure and start the chip; enter the first cold start."""
+        """Build the detector; enter the first cold start."""
         if self.state is not SessionState.INIT:
             raise RuntimeError(f"session {self.session_id} already started")
-        try:
-            self._bring_up()
-        except SpiError as exc:
-            self._note_fault(str(exc))
-            self._enter_degraded()
+        self._bring_up()
 
     def _bring_up(self) -> None:
-        """(Re)configure the chip and build a fresh stream + detector."""
-        self.driver.probe()
-        self.driver.configure(
-            frame_rate_div=self.config.frame_rate_div, tx_power=self.config.tx_power
-        )
-        self.driver.start()
-        self._base_cursor = self._world.cursor
-        self._drops_reported = 0
-        self._stream = FrameStream(self.driver, self.device)
+        """Build a fresh detector under a new generation; enter cold start."""
         # The generation bump and detector swap are atomic so workers
         # never feed a frame from a dead incarnation to the new detector.
         with self._lock:
             self._generation += 1
             self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
-        self._recovery_attempts = 0
         self._transition(SessionState.COLD_START)
 
-    def _note_fault(self, detail: str, terminal: bool = False) -> None:
-        self._emit(FaultEvent(self.session_id, self.time_s, detail, terminal=terminal))
-
-    def _enter_degraded(self) -> None:
-        self._backoff = self.config.recovery_backoff_frames
-        self._transition(SessionState.DEGRADED)
-
     def _shutdown(self) -> None:
-        try:
-            self.driver.stop()
-        except SpiError:
-            pass  # a dead wire cannot keep us from declaring the end
         self._transition(SessionState.STOPPED)
 
-    def request_restart(self) -> None:
-        """Ask for an operator restart (honoured on the next produce)."""
-        self._restart_requested = True
+    def make_item(self, timestamp_s: float, frame: np.ndarray) -> FrameItem:
+        """Build a backend queue item for one frame at device time ``timestamp_s``.
 
-    def request_stop(self) -> None:
-        """Ask for an orderly stop (honoured on the next produce)."""
-        self._stop_requested = True
-
-    # ------------------------------------------------------------ produce side
-    def produce(self) -> FrameItem | None:
-        """Advance one frame period; return ``(generation, time_s, frame)``.
-
-        Called once per scheduling round by the pump thread; returns
-        None when no frame arrived this period. All fault handling
-        lives here: an :class:`SpiError` parks the session in DEGRADED
-        instead of propagating. The generation tag lets :meth:`process`
-        flush frames that were queued before a restart instead of
-        feeding the reborn detector a stale backlog.
+        Stamps the item with the current detector generation, so frames
+        queued before a restart are flushed as stale instead of being
+        fed to the reborn detector.
         """
-        state = self.state
-        if state in (SessionState.INIT, SessionState.STOPPED):
-            return None
-        if self._stop_requested:
-            self._stop_requested = False
-            self._shutdown()
-            return None
-        if state is SessionState.DEGRADED:
-            # The chip never stopped sampling: world time advances and
-            # the FIFO overflows while the host backs off — those are
-            # real, counted losses.
-            self.device.tick()
-            self._backoff -= 1
-            if self._backoff <= 0:
-                self._recover(reason="spi_fault")
-            return None
-        if self._restart_requested:
-            self._restart_requested = False
-            self._recover(reason="manual")
-            return None
-        try:
-            item = self._stream.poll()
-            self._account_fifo_drops()
-        except SpiError as exc:
-            self._note_fault(str(exc))
-            self._enter_degraded()
-            return None
-        if item is None:
-            if self._stream.exhausted:
-                self.draining = True
-            return None
-        timestamp, frame = item
-        world_time = self._base_cursor * self._period_s + timestamp
-        self._last_time_s = world_time
-        with self._lock:
-            generation = self._generation
-        return generation, world_time, frame
-
-    def _account_fifo_drops(self) -> None:
-        dropped = self._stream.dropped
-        if dropped > self._drops_reported:
-            delta = dropped - self._drops_reported
-            self._drops_reported = dropped
-            self._emit(FrameDropEvent(self.session_id, self.time_s, delta, where="fifo"))
-
-    def _recover(self, reason: str) -> None:
-        """Soft-reset and reconfigure the chip; re-enter cold start."""
-        # Everything the world produced this incarnation that never made
-        # it to the detector is lost at the reset (FIFO flush + overflow
-        # drops not yet accounted).
-        delivered = self._stream.delivered if self._stream is not None else 0
-        lost = (self._world.cursor - self._base_cursor) - delivered - self._drops_reported
-        attempts = self._recovery_attempts + 1
-        try:
-            self.driver.soft_reset()
-            self._bring_up()
-        except SpiError as exc:
-            self._recovery_attempts += 1
-            if self._recovery_attempts >= self.config.max_recovery_attempts:
-                self._note_fault(f"recovery abandoned: {exc}", terminal=True)
-                self._shutdown()
-            else:
-                self._note_fault(f"recovery attempt failed: {exc}")
-                self._enter_degraded()
-            return
-        if lost > 0:
-            self._emit(FrameDropEvent(self.session_id, self.time_s, lost, where="fifo"))
-        self._emit(RestartEvent(self.session_id, self.time_s, reason, attempts=attempts))
+        return (self.generation, timestamp_s, frame)
 
     # ------------------------------------------------------------ process side
     def process(self, item: FrameItem, enqueued_at: float | None = None) -> None:
@@ -533,9 +427,13 @@ class DetectorSession:
             np.stack([frame for _, _, frame in items]), denoised=denoised
         )
         done_at = time.perf_counter()
+        # The end-of-stream flush anchors on the newest frame the
+        # detector has seen. Set here, not only by _record_batch: a shard
+        # worker's session ships its batches instead of recording them.
+        self._last_time_s = items[-1][1]
         self._last_det_index = statuses[-1].frame_index
         self._record_batch(
-            len(statuses), [done_at - t for t in enqueued_ats if t is not None]
+            len(statuses), [done_at - t for t in enqueued_ats if t is not None], self._last_time_s
         )
         for (_, time_s, _), status in zip(items, statuses):
             if status.restarted:
@@ -596,19 +494,233 @@ class DetectorSession:
                 )
             )
 
+    def flush(self) -> None:
+        """Report the blink the detector still holds at end of stream.
+
+        Stamped from the newest processed frame, as every other blink
+        is. :meth:`close` calls it; a shard worker calls it at detach,
+        where its copy of the session's detector lives.
+        """
+        detector = self.detector
+        if detector is None:
+            return
+        event = detector.finish()
+        if event is not None:
+            apex = self._apex_time(self._last_time_s, self._last_det_index, event.frame_index)
+            self._on_blink(apex, event.frame_index, event.prominence)
+
     def close(self) -> None:
         """Flush the detector and stamp STOPPED (call after the queue drained)."""
         if self._closed:
             return
         self._closed = True
-        detector = self.detector
-        if detector is not None:
-            event = detector.finish()
-            if event is not None:
-                apex = self._apex_time(self._last_time_s, self._last_det_index, event.frame_index)
-                self._on_blink(apex, event.frame_index, event.prominence)
+        self.flush()
         if self.state is not SessionState.STOPPED:
             self._shutdown()
+
+    def health(self) -> dict[str, object]:
+        """One-line health snapshot (the service aggregates these)."""
+        return {
+            "state": self.state.value,
+            "time_s": round(self.time_s, 3),
+            "frames_processed": self.frames_processed,
+            "blinks": len(self.blink_events),
+            "restarts": self.restarts,
+            **{
+                f"dropped_{where}": self._metric(f"dropped_{where}").value
+                for where in ("fifo", "queue", "stale", "crash")
+            },
+        }
+
+
+class EmulatedSession(DetectorSession):
+    """A :class:`DetectorSession` with its vehicle: emulated chip, SPI
+    wire, driver and frame stream over a world of frames, plus the
+    DEGRADED recovery path (see module docstring).
+
+    Parameters
+    ----------
+    session_id:
+        As for :class:`DetectorSession`.
+    frames:
+        The vehicle's world: a (n_frames, n_bins) complex matrix the
+        emulated chip samples from, through a forward-only cursor the
+        session owns, so a chip reset never rewinds the world — frames
+        that elapse while the session is down are simply gone, as on a
+        road.
+    config:
+        Policy knobs (:class:`SessionConfig`); ``frame_rate_div`` sets
+        the frame rate.
+    wire_factory:
+        Optional wrapper applied to the device before the bus sees it
+        (e.g. :class:`~repro.fleet.faults.SpiFaultInjector`).
+    metrics / sink:
+        As for :class:`DetectorSession`.
+    """
+
+    def __init__(
+        self,
+        session_id: str,
+        frames: np.ndarray,
+        config: SessionConfig | None = None,
+        wire_factory: Callable[[SpiSlave], SpiSlave] | None = None,
+        metrics: MetricsRegistry | None = None,
+        sink: Callable[[FleetEvent], None] | None = None,
+    ) -> None:
+        frames = np.asarray(frames)
+        if frames.ndim != 2 or frames.shape[0] < 1:
+            raise ValueError(f"frames must be a non-empty (n_frames, n_bins) matrix, got {frames.shape}")
+        config = config if config is not None else SessionConfig()
+        super().__init__(
+            session_id, frames.shape[1], 100.0 / config.frame_rate_div, config, metrics, sink
+        )
+        self._world = _World(frames)
+        self._period_s = 1.0 / self.frame_rate_hz
+
+        self.device = UwbRadarDevice(
+            frame_source=self._world,
+            fifo_capacity_bytes=config.fifo_frames * self.n_bins * 4,
+        )
+        self.wire: SpiSlave = wire_factory(self.device) if wire_factory else self.device
+        self.driver = XepDriver(SpiBus(self.wire), n_bins=self.n_bins)
+        self._stream: FrameStream | None = None
+
+        self._base_cursor = 0  # world index where the current incarnation began
+        self._drops_reported = 0  # per-incarnation FIFO drops already evented
+        self._backoff = 0
+        self._recovery_attempts = 0
+        self._restart_requested = False
+        self._stop_requested = False
+        #: True once the world ran dry: the pump must stop producing,
+        #: but STOPPED is only stamped after the queue drains (close()),
+        #: so worker-side transitions land in order.
+        self.draining = False
+
+    @property
+    def time_s(self) -> float:
+        """World clock: seconds of world the chip has sampled (it runs
+        ahead of the processed frames while a queue fills)."""
+        return self._world.cursor * self._period_s
+
+    # --------------------------------------------------------------- lifecycle
+    def start(self) -> None:
+        """Probe, configure and start the chip; enter the first cold start."""
+        try:
+            super().start()
+        except SpiError as exc:
+            self._note_fault(str(exc))
+            self._enter_degraded()
+
+    def _bring_up(self) -> None:
+        """(Re)configure the chip, then build a fresh stream + detector."""
+        self.driver.probe()
+        self.driver.configure(
+            frame_rate_div=self.config.frame_rate_div, tx_power=self.config.tx_power
+        )
+        self.driver.start()
+        self._base_cursor = self._world.cursor
+        self._drops_reported = 0
+        self._stream = FrameStream(self.driver, self.device)
+        self._recovery_attempts = 0
+        super()._bring_up()
+
+    def _note_fault(self, detail: str, terminal: bool = False) -> None:
+        self._emit(FaultEvent(self.session_id, self.time_s, detail, terminal=terminal))
+
+    def _enter_degraded(self) -> None:
+        self._backoff = self.config.recovery_backoff_frames
+        self._transition(SessionState.DEGRADED)
+
+    def _shutdown(self) -> None:
+        try:
+            self.driver.stop()
+        except SpiError:
+            pass  # a dead wire cannot keep us from declaring the end
+        super()._shutdown()
+
+    def request_restart(self) -> None:
+        """Ask for an operator restart (honoured on the next produce)."""
+        self._restart_requested = True
+
+    def request_stop(self) -> None:
+        """Ask for an orderly stop (honoured on the next produce)."""
+        self._stop_requested = True
+
+    # ------------------------------------------------------------ produce side
+    def produce(self) -> FrameItem | None:
+        """Advance one frame period; return ``(generation, time_s, frame)``.
+
+        Called once per scheduling round by the pump thread; returns
+        None when no frame arrived this period. All fault handling
+        lives here: an :class:`SpiError` parks the session in DEGRADED
+        instead of propagating. The generation tag lets :meth:`process`
+        flush frames that were queued before a restart instead of
+        feeding the reborn detector a stale backlog.
+        """
+        state = self.state
+        if state in (SessionState.INIT, SessionState.STOPPED):
+            return None
+        if self._stop_requested:
+            self._stop_requested = False
+            self._shutdown()
+            return None
+        if state is SessionState.DEGRADED:
+            # The chip never stopped sampling: world time advances and
+            # the FIFO overflows while the host backs off — those are
+            # real, counted losses.
+            self.device.tick()
+            self._backoff -= 1
+            if self._backoff <= 0:
+                self._recover(reason="spi_fault")
+            return None
+        if self._restart_requested:
+            self._restart_requested = False
+            self._recover(reason="manual")
+            return None
+        try:
+            item = self._stream.poll()
+            self._account_fifo_drops()
+        except SpiError as exc:
+            self._note_fault(str(exc))
+            self._enter_degraded()
+            return None
+        if item is None:
+            if self._stream.exhausted:
+                self.draining = True
+            return None
+        timestamp, frame = item
+        return self.make_item(self._base_cursor * self._period_s + timestamp, frame)
+
+    def _account_fifo_drops(self) -> None:
+        dropped = self._stream.dropped
+        if dropped > self._drops_reported:
+            delta = dropped - self._drops_reported
+            self._drops_reported = dropped
+            self._emit(FrameDropEvent(self.session_id, self.time_s, delta, where="fifo"))
+
+    def _recover(self, reason: str) -> None:
+        """Soft-reset and reconfigure the chip; re-enter cold start."""
+        # Everything the world produced this incarnation that never made
+        # it to the detector is lost at the reset (FIFO flush + overflow
+        # drops not yet accounted).
+        delivered = self._stream.delivered if self._stream is not None else 0
+        lost = (self._world.cursor - self._base_cursor) - delivered - self._drops_reported
+        attempts = self._recovery_attempts + 1
+        try:
+            self.driver.soft_reset()
+            self._bring_up()
+        except SpiError as exc:
+            self._recovery_attempts += 1
+            if self._recovery_attempts >= self.config.max_recovery_attempts:
+                self._note_fault(f"recovery abandoned: {exc}", terminal=True)
+                self._shutdown()
+            else:
+                self._note_fault(f"recovery attempt failed: {exc}")
+                self._enter_degraded()
+            return
+        if lost > 0:
+            self._emit(FrameDropEvent(self.session_id, self.time_s, lost, where="fifo"))
+        self._emit(RestartEvent(self.session_id, self.time_s, reason, attempts=attempts))
 
     # ------------------------------------------------------------- convenience
     def run_serial(self) -> None:
@@ -626,16 +738,5 @@ class DetectorSession:
         self.close()
 
     def health(self) -> dict[str, object]:
-        """One-line health snapshot (the service aggregates these)."""
-        return {
-            "state": self.state.value,
-            "time_s": round(self.time_s, 3),
-            "frames_world": self._world.cursor,
-            "frames_processed": self.frames_processed,
-            "blinks": len(self.blink_events),
-            "restarts": self.restarts,
-            **{
-                f"dropped_{where}": self._metric(f"dropped_{where}").value
-                for where in ("fifo", "queue", "stale", "crash")
-            },
-        }
+        """:meth:`DetectorSession.health` plus the world frames sampled."""
+        return {**super().health(), "frames_world": self._world.cursor}

@@ -2,14 +2,16 @@
 
 The gateway is the system's front door: it accepts radar frames over
 TCP in a versioned, CRC-protected wire format (:mod:`~repro.gateway.protocol`),
-multiplexes many vehicle connections into the existing
-:class:`~repro.fleet.scheduler.FleetScheduler` worker pool
-(:mod:`~repro.gateway.server`), optionally tees every ingested frame
-into a ``.rst`` catalog through :class:`~repro.store.record.Recorder`,
-and exports the fleet metrics registry over HTTP in Prometheus text
-format (:mod:`~repro.gateway.http`). The client side
-(:mod:`~repro.gateway.client`, :mod:`~repro.gateway.loadgen`) replays
-cataloged traces through N simulated vehicles to measure the deployed
+runs one :class:`~repro.fleet.session.DetectorSession` per vehicle
+connection on one serve backend — the threaded
+:class:`~repro.fleet.scheduler.FleetScheduler` or the process-sharded
+:class:`~repro.shard.fleet.ShardedFleet` (:mod:`~repro.gateway.server`)
+— optionally tees every ingested frame into a ``.rst`` catalog through
+:class:`~repro.store.record.Recorder`, and exports the fleet metrics
+registry over HTTP in Prometheus text format (:mod:`~repro.gateway.http`).
+The client side (:mod:`~repro.gateway.client`,
+:mod:`~repro.gateway.loadgen`) replays cataloged traces through N
+simulated vehicles to measure the deployed
 system's real saturation point — achieved frames/s, drop rate, and
 end-to-end latency percentiles — rather than the isolated kernels'.
 
@@ -20,7 +22,6 @@ import for dependency reasons.
 
 from repro.gateway.client import GatewayClient
 from repro.gateway.http import MetricsHttpServer
-from repro.gateway.ingest import IngestSession
 from repro.gateway.loadgen import LoadGenerator, LoadReport, VehicleReport
 from repro.gateway.protocol import (
     MAGIC,
@@ -53,7 +54,6 @@ __all__ = [
     "encode_message",
     "GatewayServer",
     "GatewayClient",
-    "IngestSession",
     "LoadGenerator",
     "LoadReport",
     "VehicleReport",

@@ -94,17 +94,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ready=lambda: server.ready,
         )
         await http.start()
-        print(
-            f"gateway listening on {args.host}:{server.port} "
-            f"(http {args.host}:{http.port}); Ctrl-C to drain and stop"
-        )
+        # run_until_signal installs its signal handlers before its first
+        # await, so one yield after scheduling it a SIGTERM drains the
+        # server: only then does a supervisor reading this line see it.
+        serving = asyncio.ensure_future(server.run_until_signal())
         try:
-            await server.run_until_signal()
+            await asyncio.sleep(0)
+            print(
+                f"gateway listening on {args.host}:{server.port} "
+                f"(http {args.host}:{http.port}); Ctrl-C to drain and stop",
+                flush=True,
+            )
+            await serving
         finally:
             await http.stop()
 
     asyncio.run(serve())
-    print("gateway drained and stopped")
+    print("gateway drained and stopped", flush=True)
     return 0
 
 

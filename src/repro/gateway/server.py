@@ -11,6 +11,13 @@ process-sharded :class:`~repro.shard.fleet.ShardedFleet`) through its
 non-blocking ``submit`` — so socket ingest gets exactly the fleet's
 bounded queues, backpressure, and metrics.
 
+Each HELLO builds a :class:`~repro.fleet.session.DetectorSession` with
+the declared geometry and frame rate. The vehicle's chip and SPI wire
+live on the far end of the connection, so the session is the detector
+alone, clocked by the frames' own timestamps; and since the wire
+carries the driver's complex rows verbatim, detection output equals a
+local replay of the same recording, blink stamps included.
+
 Operational properties:
 
 - **Per-connection fault isolation.** A connection handler that throws
@@ -47,8 +54,7 @@ from typing import Any, Callable
 
 from repro.fleet.backend import ServeBackend
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.session import SessionConfig
-from repro.gateway.ingest import IngestSession
+from repro.fleet.session import DetectorSession
 from repro.gateway.protocol import (
     Ack,
     Bye,
@@ -95,7 +101,7 @@ class _Connection:
         self.server = server
         self.peer = peer
         self.decoder = WireDecoder()
-        self.session: IngestSession | None = None
+        self.session: DetectorSession | None = None
         self.session_index = 0
         self.dtype = "c64"
         self.recorder: Recorder | None = None
@@ -230,8 +236,6 @@ class GatewayServer:
         When set, every session's ingested traffic is recorded to
         ``<record_dir>/<session_id>.rst`` and registered in that
         directory's catalog on session close.
-    session_config:
-        Shared fleet policy for every connection's session.
     """
 
     def __init__(
@@ -241,15 +245,13 @@ class GatewayServer:
         *,
         backend: ServeBackend | None = None,
         record_dir: str | Path | None = None,
-        session_config: SessionConfig | None = None,
     ) -> None:
         self.host = host
         self._requested_port = port
         self.scheduler: ServeBackend = backend if backend is not None else FleetScheduler()
         self.metrics = self.scheduler.metrics
-        self.session_config = session_config
         self.record_dir = Path(record_dir) if record_dir is not None else None
-        self.sessions: dict[str, IngestSession] = {}
+        self.sessions: dict[str, DetectorSession] = {}
         # Serializes catalog registration: session finalizations run on
         # executor threads and may overlap, but the catalog manifest is
         # a single shared file (read-modify-write per registration).
@@ -460,11 +462,10 @@ class GatewayServer:
             raise ProtocolError("duplicate HELLO on one connection")
         if hello.session_id in self.sessions:
             raise ProtocolError(f"session id {hello.session_id!r} already connected")
-        session = IngestSession(
+        session = DetectorSession(
             hello.session_id,
             n_bins=hello.n_bins,
             frame_rate_hz=hello.frame_rate_hz,
-            config=self.session_config,
             metrics=self.metrics,
         )
         session.start()

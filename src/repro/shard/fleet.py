@@ -444,10 +444,10 @@ class ShardedFleet:
             self.metrics.gauge(f"shard.{worker.shard_index}.rss_bytes").set(report.rss_bytes)
         with self._cond:
             sessions = dict(self._sessions)
-        for sid, n_frames, latencies in report.batches:
+        for sid, n_frames, latencies, time_s in report.batches:
             session = sessions.get(sid)
             if session is not None:
-                session._record_batch(n_frames, latencies)
+                session._record_batch(n_frames, latencies, time_s)
         for event in report.events:
             session = sessions.get(event.session_id)
             if session is not None:

@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 
-#: One processed batch: (session id, frames, enqueue-to-done latencies).
-BatchRecord = tuple[str, int, list[float]]
+#: One processed batch: (session id, frames, enqueue-to-done latencies,
+#: device time of its newest frame).
+BatchRecord = tuple[str, int, list[float], float]
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ class ShardReport:
     are what the worker's sessions recorded since the last report, in
     order; the parent replays them through its own session's ``_emit``
     and ``_record_batch``, which count them, so latencies cross as raw
-    observations and parent-side percentiles stay exact. ``states``
+    observations and parent-side percentiles stay exact, and a batch's
+    newest device time moves the parent session's clock. ``states``
     carries ``(generation, state)`` so lifecycle mirroring stays
     generation-guarded across the process boundary. ``unrouted`` counts
     frames for sessions the shard does not home (``shard.unrouted_frames``).

@@ -16,7 +16,9 @@ The worker process owns a shard of sessions. Its loop is a tick:
    session's stateful walk over its slice via the inherited
    :meth:`~repro.fleet.session.DetectorSession.process_batch` — the same
    code path the threaded scheduler's workers call, which is what makes
-   sharded output bit-identical to threaded output.
+   sharded output bit-identical to threaded output. A worker-side
+   session is a :class:`~repro.fleet.session.DetectorSession` built from
+   the attach's geometry and config: the detector alone, never a chip.
 3. Ship a :class:`~repro.shard.messages.ShardReport` (the sessions'
    events and batches, cumulative consumed counts, the worker's
    resident bytes) after every tick that did work — including each tick
@@ -48,8 +50,7 @@ import numpy as np
 
 from repro.core.realtime import RealTimeBlinkDetector
 from repro.fleet.events import FleetEvent
-from repro.fleet.session import SessionState
-from repro.gateway.ingest import IngestSession
+from repro.fleet.session import DetectorSession, SessionState
 from repro.shard.messages import (
     AttachMsg,
     BatchRecord,
@@ -99,18 +100,19 @@ def mp_context() -> Any:
         return multiprocessing.get_context("spawn")
 
 
-class _ShardSession(IngestSession):
+class _ShardSession(DetectorSession):
     """Worker-side detector session mirroring one parent session.
 
-    Identical to the gateway's :class:`IngestSession` — same
-    ``process_batch`` path, same events — except that it counts nothing:
-    :meth:`_emit` and :meth:`_record_batch` hand each event and batch to
-    the next report, and the parent counts them on its own session. Plus
-    the generation bridge: the *parent* owns the produce side (faults,
-    restarts, generation bumps), so when stamped generations move past
-    this mirror's, it rebuilds its detector exactly as the parent's
-    ``_bring_up`` swap would have, and older-generation frames flush as
-    stale through the inherited run splitting.
+    Identical to the gateway's session — same ``process_batch`` path,
+    same events, same end-of-stream flush — except that it counts
+    nothing: :meth:`_emit` and :meth:`_record_batch` hand each event and
+    batch to the next report, and the parent counts them on its own
+    session. Plus the generation bridge: the *parent* owns the produce
+    side (faults, restarts, generation bumps), so when stamped
+    generations move past this mirror's, it rebuilds its detector
+    exactly as the parent's ``_bring_up`` swap would have, and
+    older-generation frames flush as stale through the inherited run
+    splitting.
     """
 
     #: Collects the next report; wired after start, as the bring-up
@@ -121,9 +123,9 @@ class _ShardSession(IngestSession):
         if self.outbox is not None:
             self.outbox.events.append(event)
 
-    def _record_batch(self, n_frames: int, latencies: list[float]) -> None:
+    def _record_batch(self, n_frames: int, latencies: list[float], time_s: float) -> None:
         if self.outbox is not None:
-            self.outbox.batches.append((self.session_id, n_frames, latencies))
+            self.outbox.batches.append((self.session_id, n_frames, latencies, time_s))
 
     def adopt_generation(self, generation: int) -> None:
         """Mirror a parent-side restart: fresh detector, cold start."""
@@ -133,20 +135,6 @@ class _ShardSession(IngestSession):
             self._generation = generation
             self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
             self._state = SessionState.COLD_START
-
-    def flush_final(self) -> None:
-        """Flush the pending LEVD event (what close() would detect-flush).
-
-        Lifecycle stamping stays with the parent's own ``close()``; only
-        the detector state lives here, so only the detector is flushed.
-        """
-        detector = self.detector
-        if detector is None:
-            return
-        event = detector.finish()
-        if event is not None:
-            apex = self._apex_time(self._last_time_s, self._last_det_index, event.frame_index)
-            self._on_blink(apex, event.frame_index, event.prominence)
 
 
 class _WorkerState:
@@ -192,7 +180,9 @@ class _WorkerState:
         session = self.by_id.get(session_id)
         if session is None:
             return self.report()
-        session.flush_final()
+        # Only the detector lives here: lifecycle stamping stays with
+        # the parent's own close().
+        session.flush()
         # Build the final report *before* deregistering: its state
         # mirror walks ``by_id``.
         final = self.report()

@@ -12,7 +12,7 @@ protocols in use:
   :class:`~repro.hardware.driver.FrameStream` shape consumed by
   recorders and streaming examples, with optional wall-clock pacing.
 - ``np.asarray(source)`` / ``source.frames`` — the frame-matrix shape
-  consumed by :class:`repro.fleet.session.DetectorSession` and
+  consumed by :class:`repro.fleet.session.EmulatedSession` and
   :class:`repro.core.pipeline.BlinkRadar` directly.
 
 Because the reader hands out bit-exact stored frames, a detector fed

@@ -31,8 +31,7 @@ import pytest
 from repro.fleet.backend import ServeBackend, run_to_completion
 from repro.fleet.events import FrameDropEvent
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.session import DetectorSession, SessionState
-from repro.gateway.ingest import IngestSession
+from repro.fleet.session import DetectorSession, EmulatedSession, SessionState
 from repro.gateway.protocol import Ack, Drain, Frame, WireDecoder, encode_frame_payload
 from repro.gateway.server import GatewayServer, _Connection
 from repro.shard.fleet import ShardedFleet
@@ -49,15 +48,15 @@ def _backend(name: str, queue_depth: int = 1024) -> ServeBackend:
     return ShardedFleet(workers=1, queue_depth=queue_depth, slot_bins=256)
 
 
-def _session(backend: ServeBackend, session_id: str) -> IngestSession:
-    session = IngestSession(
+def _session(backend: ServeBackend, session_id: str) -> DetectorSession:
+    session = DetectorSession(
         session_id, n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=backend.metrics
     )
     session.start()
     return session
 
 
-def _items(session: IngestSession, count: int, seed: int = 5):
+def _items(session: DetectorSession, count: int, seed: int = 5):
     rng = np.random.default_rng(seed)
     for k in range(count):
         frame = (
@@ -84,7 +83,7 @@ class _Completions:
             assert self._event.wait(_TIMEOUT_S), "no completion within the deadline"
 
 
-def _attach(backend: ServeBackend, session: IngestSession) -> _Completions:
+def _attach(backend: ServeBackend, session: DetectorSession) -> _Completions:
     done = _Completions()
     backend.attach(session, on_complete=done.hook)
     return done
@@ -147,6 +146,23 @@ class TestContract:
             assert running.metrics.counter("session.sub0.frames_processed").value == 40
         finally:
             running.detach("sub0")
+            session.close()
+
+    def test_clock_is_the_newest_processed_frame(self, running):
+        """A served session's clock is its frames' device time: once the
+        drive is drained, health reads the last frame's stamp."""
+        session = _session(running, "clk0")
+        done = _attach(running, session)
+        try:
+            items = list(_items(session, 40))
+            for item in items:
+                assert running.submit("clk0", item)
+            done.wait(lambda: running.drained("clk0"))
+            health = session.health()
+            assert health["time_s"] == round(items[-1][1], 3) > 0
+            assert "frames_world" not in health  # no emulated world behind it
+        finally:
+            running.detach("clk0")
             session.close()
 
     def test_attach_duplicate_id_raises_value_error(self, running):
@@ -237,7 +253,7 @@ class TestContract:
         fps = fleet_trace.frame_rate_hz
         blinks = {}
         for sid, frames in (("le0", native), ("be0", native.astype(">c8"))):
-            session = IngestSession(
+            session = DetectorSession(
                 sid, n_bins=fleet_trace.n_bins, frame_rate_hz=fps, metrics=running.metrics
             )
             session.start()
@@ -398,8 +414,8 @@ class TestCounterParity:
         counters and histogram counts of an in-process serial run."""
         frames, fps = drowsy_drive.frames, drowsy_drive.frame_rate_hz
 
-        def ingest(metrics) -> IngestSession:
-            session = IngestSession(
+        def ingest(metrics) -> DetectorSession:
+            session = DetectorSession(
                 "p12", n_bins=drowsy_drive.n_bins, frame_rate_hz=fps, metrics=metrics
             )
             session.start()
@@ -440,9 +456,9 @@ class TestPump:
     def test_pump_matches_run_serial(self, backend_name, fleet_trace):
         """The one pump changes no detection result on either backend."""
         backend = _backend(backend_name)
-        session = DetectorSession("v00", fleet_trace.frames, metrics=backend.metrics)
+        session = EmulatedSession("v00", fleet_trace.frames, metrics=backend.metrics)
         rounds = run_to_completion(backend, [session])
-        reference = DetectorSession("ref", fleet_trace.frames)
+        reference = EmulatedSession("ref", fleet_trace.frames)
         reference.run_serial()
         assert session.blink_times_s == reference.blink_times_s
         assert len(reference.blink_times_s) > 0

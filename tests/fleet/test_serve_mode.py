@@ -1,4 +1,4 @@
-"""Threaded serve mode beyond the shared contract, and `IngestSession`.
+"""Threaded serve mode beyond the shared contract, and the served session.
 
 The serve surface both backends share (attach/detach, non-blocking
 submit, drained/idle, start/stop, shed accounting) is pinned once for
@@ -16,18 +16,34 @@ import threading
 import numpy as np
 import pytest
 
+import repro.fleet.session as session_module
+from repro.core.realtime import RealTimeBlinkDetector
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.session import DetectorSession
-from repro.gateway.ingest import IngestSession
+from repro.fleet.session import DetectorSession, EmulatedSession
 
 
 def _ingest_session(session_id: str, metrics=None, n_bins: int = 16):
-    session = IngestSession(
+    session = DetectorSession(
         session_id, n_bins=n_bins, frame_rate_hz=25.0, metrics=metrics
     )
     session.start()
     return session
+
+
+def _emulated_session(session_id: str, metrics=None) -> EmulatedSession:
+    """Served sessions never restart: a generation bump takes an emulated
+    session's chip restart."""
+    session = EmulatedSession(
+        session_id, np.ones((8, 16), dtype=np.complex64), metrics=metrics
+    )
+    session.start()
+    return session
+
+
+def _restart(session: EmulatedSession) -> None:
+    session.request_restart()
+    assert session.produce() is None  # the restart consumed the round
 
 
 def _frames(session, count: int, start: int = 0):
@@ -83,14 +99,13 @@ class TestServeMode:
     def test_generation_stale_frames_flushed_on_restart(self):
         metrics = MetricsRegistry()
         scheduler = FleetScheduler(workers=1, queue_depth=64, metrics=metrics)
-        session = _ingest_session("g0", metrics)
+        session = _emulated_session("g0", metrics)
         completed = threading.Event()
         scheduler.attach(session, on_complete=completed.set)
         stale = list(_frames(session, 5))
         # A restart bumps the generation; frames stamped before it are
         # flushed as stale by the worker, not fed to the new detector.
-        session.request_restart()
-        session.produce()
+        _restart(session)
         for item in stale:
             scheduler.submit("g0", item)
         scheduler.start()
@@ -104,33 +119,39 @@ class TestServeMode:
 
 
 class TestIngestSession:
-    def test_declared_rate_wins_over_register_quantisation(self):
-        session = IngestSession("r0", n_bins=8, frame_rate_hz=17.3)
-        assert session.frame_rate_hz == 17.3
-        session.close()
+    """The served :class:`DetectorSession`, built from declared geometry."""
 
-    def test_produce_is_inert(self):
-        session = _ingest_session("r1")
-        assert session.produce() is None
+    def test_declared_rate_wins_over_register_quantisation(self):
+        session = DetectorSession("r0", n_bins=8, frame_rate_hz=17.3)
+        assert session.frame_rate_hz == 17.3
         session.close()
 
     def test_make_item_stamps_current_generation(self):
         session = _ingest_session("r2")
         item = session.make_item(0.0, np.zeros(16, dtype=np.complex64))
         assert item[0] == session.generation
-        session.request_restart()
-        session.produce()
-        item2 = session.make_item(0.04, np.zeros(16, dtype=np.complex64))
-        assert item2[0] == session.generation == item[0] + 1
         session.close()
+        emulated = _emulated_session("r2e")
+        before = emulated.make_item(0.0, np.zeros(16, dtype=np.complex64))
+        _restart(emulated)
+        item2 = emulated.make_item(0.04, np.zeros(16, dtype=np.complex64))
+        assert item2[0] == emulated.generation == before[0] + 1
+        emulated.close()
+
+    def test_builds_the_detector_and_no_hardware(self, monkeypatch):
+        def no_hardware(*args, **kwargs):
+            raise AssertionError("a served session built emulated hardware")
+
+        for name in ("UwbRadarDevice", "SpiBus", "XepDriver", "FrameStream"):
+            monkeypatch.setattr(session_module, name, no_hardware)
+        session = _ingest_session("hw0")
+        assert isinstance(session.detector, RealTimeBlinkDetector)
+        session.process_batch(list(_frames(session, 30)))
+        session.close()
+        assert session.frames_processed == 30
 
     def test_validates_geometry(self):
         with pytest.raises(ValueError):
-            IngestSession("bad", n_bins=0, frame_rate_hz=25.0)
+            DetectorSession("bad", n_bins=0, frame_rate_hz=25.0)
         with pytest.raises(ValueError):
-            IngestSession("bad", n_bins=8, frame_rate_hz=0.0)
-
-    def test_is_detector_session(self):
-        session = IngestSession("sub", n_bins=8, frame_rate_hz=25.0)
-        assert isinstance(session, DetectorSession)
-        session.close()
+            DetectorSession("bad", n_bins=8, frame_rate_hz=0.0)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.fleet import (
-    DetectorSession,
+    EmulatedSession,
     FleetScheduler,
     FleetService,
     RestartEvent,
@@ -65,7 +65,7 @@ class TestFleetRun:
         """The scheduler must not change detection results: a session run
         through the worker pool reports the same blinks as one driven
         frame-by-frame on a single thread."""
-        reference = DetectorSession("ref", fleet_trace.frames)
+        reference = EmulatedSession("ref", fleet_trace.frames)
         reference.run_serial()
         assert service.sessions["v00"].blink_times_s == reference.blink_times_s
         assert len(reference.blink_times_s) > 0

@@ -1,5 +1,5 @@
-"""DetectorSession: lifecycle, fault recovery, frame accounting, and
-equivalence with the offline pipeline."""
+"""EmulatedSession and DetectorSession: lifecycle, fault recovery, frame
+accounting, and equivalence with the offline pipeline."""
 
 import weakref
 
@@ -12,6 +12,7 @@ from repro.eval.metrics import score_blink_detection
 from repro.fleet import (
     DetectorSession,
     DrowsyAlertEvent,
+    EmulatedSession,
     FaultEvent,
     RestartEvent,
     SessionConfig,
@@ -19,7 +20,6 @@ from repro.fleet import (
     SpiFaultInjector,
     StateChangeEvent,
 )
-from repro.gateway.ingest import IngestSession
 from repro.hardware.device import UwbRadarDevice
 from repro.hardware.driver import FrameStream, XepDriver
 from repro.hardware.spi import SpiBus
@@ -47,7 +47,7 @@ def transitions(session):
 
 class TestCleanLifecycle:
     def test_serial_run_walks_the_state_machine(self, fleet_trace):
-        session = DetectorSession("s0", fleet_trace.frames)
+        session = EmulatedSession("s0", fleet_trace.frames)
         assert session.state is SessionState.INIT
         session.run_serial()
         assert transitions(session) == [
@@ -58,7 +58,7 @@ class TestCleanLifecycle:
         assert not session.active
 
     def test_clean_run_processes_every_world_frame(self, fleet_trace):
-        session = DetectorSession("s0", fleet_trace.frames)
+        session = EmulatedSession("s0", fleet_trace.frames)
         session.run_serial()
         n_world = fleet_trace.frames.shape[0]
         assert session.frames_processed == n_world
@@ -69,7 +69,7 @@ class TestCleanLifecycle:
         """The session reports the same blinks, at the same apex times,
         as the plain device -> driver -> detector loop on the same world
         (the single-session pipeline of examples/realtime_device_stream)."""
-        session = DetectorSession("eq", fleet_trace.frames)
+        session = EmulatedSession("eq", fleet_trace.frames)
         session.run_serial()
 
         frames = fleet_trace.frames
@@ -89,14 +89,14 @@ class TestCleanLifecycle:
         """Against the offline pipeline on the *raw float* frames the only
         difference is the chip's int16 quantisation, so detection must
         still score perfectly within the paper's matching tolerance."""
-        session = DetectorSession("eq", fleet_trace.frames)
+        session = EmulatedSession("eq", fleet_trace.frames)
         session.run_serial()
         offline = BlinkRadar(frame_rate_hz=FRAME_RATE).detect(fleet_trace.frames)
         score = score_blink_detection(list(offline.event_times_s), session.blink_times_s)
         assert score.f1 == 1.0
 
     def test_health_snapshot_keys(self, fleet_trace):
-        session = DetectorSession("s0", fleet_trace.frames)
+        session = EmulatedSession("s0", fleet_trace.frames)
         session.run_serial()
         health = session.health()
         assert health["state"] == "stopped"
@@ -106,7 +106,7 @@ class TestCleanLifecycle:
         assert health["restarts"] == 0
 
     def test_double_start_rejected(self, fleet_trace):
-        session = DetectorSession("s0", fleet_trace.frames)
+        session = EmulatedSession("s0", fleet_trace.frames)
         session.start()
         with pytest.raises(RuntimeError):
             session.start()
@@ -114,7 +114,7 @@ class TestCleanLifecycle:
 
 class TestFaultRecovery:
     def test_recovers_through_degraded_to_running(self, fleet_trace):
-        session = DetectorSession(
+        session = EmulatedSession(
             "flt", fleet_trace.frames, wire_factory=fault_wire_factory(4.0, burst=4)
         )
         session.run_serial()
@@ -130,7 +130,7 @@ class TestFaultRecovery:
     def test_restart_event_counts_attempts(self, fleet_trace):
         # Burst of 4: the poll fault consumes one corrupted transaction,
         # then three reset attempts fail before the fourth succeeds.
-        session = DetectorSession(
+        session = EmulatedSession(
             "flt", fleet_trace.frames, wire_factory=fault_wire_factory(4.0, burst=4)
         )
         session.run_serial()
@@ -142,7 +142,7 @@ class TestFaultRecovery:
     def test_every_world_frame_is_accounted_for(self, fleet_trace):
         """processed + fifo-dropped == world frames: losses are counted,
         never silent, and resets never replay the world."""
-        session = DetectorSession(
+        session = EmulatedSession(
             "flt", fleet_trace.frames, wire_factory=fault_wire_factory(4.0, burst=4)
         )
         session.run_serial()
@@ -154,7 +154,7 @@ class TestFaultRecovery:
 
     def test_exhausted_burst_is_terminal(self, fleet_trace):
         config = SessionConfig(max_recovery_attempts=2)
-        session = DetectorSession(
+        session = EmulatedSession(
             "dead",
             fleet_trace.frames,
             config=config,
@@ -179,7 +179,7 @@ class TestControlRequests:
                 done += 1
 
     def test_manual_restart(self, fleet_trace):
-        session = DetectorSession("op", fleet_trace.frames)
+        session = EmulatedSession("op", fleet_trace.frames)
         session.start()
         self._drive(session, 60)
         session.request_restart()
@@ -190,7 +190,7 @@ class TestControlRequests:
         assert session.state is SessionState.COLD_START
 
     def test_request_stop(self, fleet_trace):
-        session = DetectorSession("op", fleet_trace.frames)
+        session = EmulatedSession("op", fleet_trace.frames)
         session.start()
         self._drive(session, 10)
         session.request_stop()
@@ -199,7 +199,7 @@ class TestControlRequests:
         assert not session.active
 
     def test_stale_generation_frames_are_flushed(self, fleet_trace):
-        session = DetectorSession("op", fleet_trace.frames)
+        session = EmulatedSession("op", fleet_trace.frames)
         session.start()
         backlog = []
         while len(backlog) < 5:
@@ -220,7 +220,7 @@ class TestControlRequests:
 class TestDrowsyAlerting:
     def _session(self, frames):
         config = SessionConfig(drowsy_rate_threshold_bpm=30.0, drowsy_window_s=4.0)
-        return DetectorSession("drz", frames, config=config)
+        return EmulatedSession("drz", frames, config=config)
 
     def test_high_rate_raises_one_alert_per_window(self, fleet_trace):
         session = self._session(fleet_trace.frames)
@@ -242,7 +242,7 @@ class TestDrowsyAlerting:
 class TestValidation:
     def test_frames_must_be_2d(self):
         with pytest.raises(ValueError):
-            DetectorSession("bad", np.zeros(16, dtype=complex))
+            EmulatedSession("bad", np.zeros(16, dtype=complex))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -258,18 +258,18 @@ class TestLifetime:
     owns (chip, driver, stream, detector) leads back to it."""
 
     def test_closed_ingest_session_is_freed(self, refcount_only):
-        session = IngestSession("free", n_bins=16, frame_rate_hz=FRAME_RATE)
+        session = DetectorSession("free", n_bins=16, frame_rate_hz=FRAME_RATE)
         session.start()
         frame = np.ones(16, dtype=np.complex64)
         session.process_batch([session.make_item(k / FRAME_RATE, frame) for k in range(60)])
         session.close()
-        refs = [weakref.ref(session), weakref.ref(session.detector), weakref.ref(session.device)]
+        refs = [weakref.ref(session), weakref.ref(session.detector)]
         del session
-        assert [ref() for ref in refs] == [None, None, None]
+        assert [ref() for ref in refs] == [None, None]
 
     def test_serial_session_is_freed(self, fleet_trace, refcount_only):
         # The chip samples this session's world: the pumped path.
-        session = DetectorSession("free", fleet_trace.frames)
+        session = EmulatedSession("free", fleet_trace.frames)
         session.run_serial()
         refs = [weakref.ref(session), weakref.ref(session.detector)]
         del session

@@ -31,8 +31,8 @@ import numpy as np
 import pytest
 
 from repro.fleet.scheduler import FleetScheduler
+from repro.fleet.session import DetectorSession
 from repro.gateway.client import GatewayClient
-from repro.gateway.ingest import IngestSession
 from repro.gateway.protocol import Ack, WireDecoder
 from repro.gateway.server import GatewayServer, _Connection
 from repro.shard.fleet import ShardedFleet
@@ -43,8 +43,8 @@ _BACKENDS = ("threaded", "sharded")
 _REPLY_TIMEOUT_S = 60.0
 
 
-def _session(session_id: str) -> IngestSession:
-    session = IngestSession(session_id, n_bins=_N_BINS, frame_rate_hz=_FPS)
+def _session(session_id: str) -> DetectorSession:
+    session = DetectorSession(session_id, n_bins=_N_BINS, frame_rate_hz=_FPS)
     session.start()
     return session
 

@@ -21,6 +21,7 @@ import struct
 import sys
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,9 +85,27 @@ class TestEndToEnd:
         assert "v00" in catalog
         assert catalog.entry("v00").content_hash == source_hash
 
-    def test_detection_identical_to_direct_replay(self, gateway_trace_path):
+    @pytest.mark.parametrize(
+        "backend_name",
+        [
+            "threaded",
+            pytest.param(
+                "sharded",
+                marks=pytest.mark.skipif(
+                    not Path("/dev/shm").is_dir(), reason="no /dev/shm for the shard rings"
+                ),
+            ),
+        ],
+    )
+    def test_detection_identical_to_direct_replay(self, backend_name, gateway_trace_path):
+        """Every blink lands at the direct replay's frame and device time,
+        on either backend, the one flushed at end of stream included."""
+
         async def scenario():
-            server = GatewayServer(backend=FleetScheduler(workers=2))
+            backend = (
+                FleetScheduler(workers=2) if backend_name == "threaded" else ShardedFleet(workers=1)
+            )
+            server = GatewayServer(backend=backend)
             await server.start()
             try:
                 session, stats, _ = await _replay_through_gateway(
@@ -108,14 +127,13 @@ class TestEndToEnd:
             s.event for s in detector.process_block(frames) if s.event is not None
         ]
         tail = detector.finish()
-        if tail is not None:
-            events.append(tail)
+        assert tail is not None  # the fixture drive ends mid-blink: the flush is pinned
+        events.append(tail)
 
         assert stats["processed"] == len(frames)
-        assert [e.frame_index for e in session.blink_events] == [
-            e.frame_index for e in events
+        assert [(e.frame_index, e.time_s) for e in session.blink_events] == [
+            (e.frame_index, e.time_s) for e in events
         ]
-        assert len(events) > 0  # the fixture drive blinks
 
     def test_client_latency_samples_collected(self, gateway_trace_path):
         async def scenario():

@@ -59,9 +59,11 @@ class TestSeededViolations:
         assert "wall-clock" in out
 
     def test_unguarded_write_in_session_fails_the_gate(self, repo_root, tmp_path, capsys):
-        # Insert an unguarded write to lock-guarded session state.
+        # Insert an unguarded write to lock-guarded session state, in a
+        # DetectorSession method: the rule checks the class that
+        # declares the guard.
         source = (repo_root / "src/repro/fleet/session.py").read_text()
-        anchor = "        self._restart_requested = True\n"
+        anchor = "        self._transition(SessionState.STOPPED)\n"
         assert source.count(anchor) == 1
         seeded = source.replace(anchor, anchor + "        self._generation = 0\n")
         target = tmp_path / "src/repro/fleet/session.py"

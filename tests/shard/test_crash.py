@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.fleet.events import FrameDropEvent
-from repro.gateway.ingest import IngestSession
+from repro.fleet.session import DetectorSession
 from repro.shard.fleet import ShardedFleet
 from repro.shard.worker import _TICK_MAX
 
@@ -35,7 +35,7 @@ _FPS = 25.0
 _N_FRAMES = 500
 
 
-def _crash_lost(session: IngestSession) -> int:
+def _crash_lost(session: DetectorSession) -> int:
     return sum(
         e.n_dropped
         for e in session.events
@@ -67,7 +67,7 @@ class _Stream:
         # The sessions count their own losses; sharing the fleet's
         # registry, as the gateway's sessions do, puts them on /metrics.
         self.sessions = {
-            sid: IngestSession(
+            sid: DetectorSession(
                 sid, n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=self.fleet.metrics
             )
             for sid in self.sids
@@ -218,7 +218,7 @@ def test_settled_crash_loss_reaches_health_and_metrics():
     never spawned a worker can charge a synthetic loss of 3 frames.
     """
     fleet = ShardedFleet(workers=1, slot_bins=_N_BINS)
-    session = IngestSession("h0", n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=fleet.metrics)
+    session = DetectorSession("h0", n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=fleet.metrics)
     session.start()
     with fleet._cond:
         fleet._sessions["h0"] = session

@@ -19,7 +19,7 @@ import pytest
 
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
-from repro.gateway.ingest import IngestSession
+from repro.fleet.session import DetectorSession
 from repro.shard.fleet import ShardedFleet
 from repro.shard.worker import _TICK_MAX
 
@@ -30,8 +30,8 @@ _FPS = 25.0
 _DOCUMENTED_TICK = 64
 
 
-def _session(session_id: str, metrics=None, n_bins: int = _N_BINS) -> IngestSession:
-    session = IngestSession(
+def _session(session_id: str, metrics=None, n_bins: int = _N_BINS) -> DetectorSession:
+    session = DetectorSession(
         session_id, n_bins=n_bins, frame_rate_hz=_FPS, metrics=metrics
     )
     session.start()

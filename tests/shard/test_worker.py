@@ -69,7 +69,7 @@ def test_frames_queued_behind_an_unread_attach_are_routed():
         assert consumed == 5
         assert report.unrouted == 0
         assert report.consumed == {"s": 5}
-        assert sum(n for sid, n, _ in report.batches if sid == "s") == 5
+        assert sum(n for sid, n, _, _ in report.batches if sid == "s") == 5
         assert ring.size == 0
     finally:
         parent.close()
@@ -178,7 +178,7 @@ def test_detach_behind_a_backlog_reports_every_tick():
         for report in [*reports, final]:
             total = sum(report.consumed.values())
             assert total - covered <= _TICK_MAX
-            assert sum(n for _, n, _ in report.batches) <= _TICK_MAX
+            assert sum(n for _, n, _, _ in report.batches) <= _TICK_MAX
             covered = total
         assert sum(reports[0].consumed.values()) == worked
         assert final.consumed == {"gone": 8, "kept": backlog}

@@ -152,10 +152,10 @@ class TestReplaySource:
         assert delivered == short_trace.n_frames
 
     def test_drives_fleet_session(self, short_rst, short_trace):
-        from repro.fleet.session import DetectorSession
+        from repro.fleet.session import EmulatedSession
 
         with ReplaySource(short_rst) as source:
-            session = DetectorSession("replay0", source)
+            session = EmulatedSession("replay0", source)
             session.start()
             session.run_serial()
             session.close()
@@ -166,12 +166,12 @@ class TestReplaySource:
         # and the scheduler's workers, each from its own independent cursor.
         from repro.fleet.backend import run_to_completion
         from repro.fleet.scheduler import FleetScheduler
-        from repro.fleet.session import DetectorSession
+        from repro.fleet.session import EmulatedSession
 
         with ReplaySource(short_rst) as a, ReplaySource(short_rst) as b:
             sessions = [
-                DetectorSession("replay-a", a),
-                DetectorSession("replay-b", b),
+                EmulatedSession("replay-a", a),
+                EmulatedSession("replay-b", b),
             ]
             run_to_completion(FleetScheduler(workers=2), sessions)
         for session in sessions:

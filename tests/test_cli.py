@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import os
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -67,8 +69,8 @@ class TestParser:
             "build_parser().parse_args(['gateway', 'serve'])\n"
             "import repro.fleet.scheduler, repro.gateway.http, repro.gateway.server\n"
             "import repro.shard, repro.shard._preload\n"
-            "from repro.gateway.ingest import IngestSession\n"
-            "session = IngestSession('s', n_bins=32, frame_rate_hz=25.0)\n"
+            "from repro.fleet.session import DetectorSession\n"
+            "session = DetectorSession('s', n_bins=32, frame_rate_hz=25.0)\n"
             "session.start()\n"
             "session.close()\n"
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
@@ -128,6 +130,36 @@ class TestCommands:
     def test_fleet_rejects_more_faults_than_vehicles(self):
         with pytest.raises(SystemExit):
             main(["fleet", "--vehicles", "2", "--faults", "3", "--duration", "5"])
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM does not drain on Windows")
+    def test_gateway_serve_flushes_its_listening_line(self):
+        """A supervisor reading the server's stdout from a pipe sees the
+        listening line while the server runs, not once it has exited."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        argv = ["gateway", "serve", "--port", "0", "--http-port", "0"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        ) as proc:
+            try:
+                # A bound on liveness, not a timing assertion: start-up
+                # takes well under a second.
+                ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+                line = proc.stdout.readline() if ready else ""
+                proc.send_signal(signal.SIGTERM)
+                rest, err = proc.communicate(timeout=60.0)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+        assert "gateway listening on" in line, err
+        assert proc.returncode == 0, err
+        assert "drained and stopped" in rest
 
     @pytest.mark.slow
     def test_sweep_command(self, capsys):

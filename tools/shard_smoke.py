@@ -47,7 +47,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.fleet.events import FrameDropEvent  # noqa: E402
-from repro.gateway.ingest import IngestSession  # noqa: E402
+from repro.fleet.session import DetectorSession  # noqa: E402
 from repro.shard.fleet import ShardedFleet  # noqa: E402
 from repro.shard.worker import _TICK_MAX  # noqa: E402
 
@@ -68,7 +68,7 @@ _CHURN_BOUND_MB = 10.0
 _RSS_GAUGE_TOLERANCE_MB = 5.0
 
 
-def crash_lost(session: IngestSession) -> int:
+def crash_lost(session: DetectorSession) -> int:
     return sum(
         e.n_dropped
         for e in session.events
@@ -89,7 +89,7 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
         for sid in sids
     }
     sessions = {
-        sid: IngestSession(sid, n_bins=n_bins, frame_rate_hz=fps) for sid in sids
+        sid: DetectorSession(sid, n_bins=n_bins, frame_rate_hz=fps) for sid in sids
     }
     fleet = ShardedFleet(workers=args.workers, queue_depth=4096, slot_bins=n_bins)
     fleet.start()
@@ -184,7 +184,7 @@ def run_churn_phase(args: argparse.Namespace) -> list[str]:
     try:
         for k in range(1, _CHURN_SESSIONS + 1):
             sid = f"churn{k:03d}"
-            session = IngestSession(sid, n_bins=n_bins, frame_rate_hz=fps)
+            session = DetectorSession(sid, n_bins=n_bins, frame_rate_hz=fps)
             session.start()
             completed = threading.Event()
             fleet.attach(session, on_complete=completed.set)
