@@ -52,7 +52,7 @@ def stream(backend, trace, sessions):
         for session in sessions:
             backend.submit(
                 session.session_id,
-                session.make_item(k / trace.frame_rate_hz, trace.frames[k]),
+                (trace.frames[k], k / trace.frame_rate_hz),
             )
     while not all(backend.drained(s.session_id) for s in sessions):
         time.sleep(0.005)
@@ -120,7 +120,7 @@ def act_two_crash(trace):
         for session in sessions:
             if fleet.submit(
                 session.session_id,
-                session.make_item(k / trace.frame_rate_hz, trace.frames[k]),
+                (trace.frames[k], k / trace.frame_rate_hz),
             ):
                 accepted[session.session_id] += 1
     while not fleet.idle():

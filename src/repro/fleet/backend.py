@@ -35,7 +35,15 @@ Contract, for either backend:
 
 Every session counter is counted by the session, from its events and
 batches (``_emit``, ``_record_batch``); a shard worker ships both, and
-the parent replays them through the same two methods.
+the parent replays them through the same two methods, except that a
+state change replays through ``_mirror_state``, which only follows the
+detector's COLD_START ⇄ RUNNING cycle. ``_emit`` raises drowsy alerts
+from the blinks it counts, so a worker never raises one.
+
+A backend never restarts a session's detector. An emulated chip is
+brought back up only on a drained, detached session, which is then
+attached again (:func:`run_to_completion`): no frame is ever in flight
+across a bring-up.
 
 Documented deviations (``docs/fleet.md``): the threaded scheduler allows
 ``attach`` before ``start``; the sharded fleet requires ``start`` first,
@@ -115,12 +123,20 @@ def run_to_completion(
     session one frame period (device time stays in lockstep across the
     fleet) and submits what it produced, as fast as the sessions
     produce; ``fleet.rounds`` counts the rounds on the backend's
-    registry. Once no session is producing (or after ``max_rounds``),
-    the pump waits on the sessions' completion hooks, not a timer,
-    until the backend is idle. Finally every session is
-    detached, the backend stopped, and every session closed (in
-    processing order: the last results are applied before ``close``
-    stamps STOPPED). Blocks the calling thread.
+    registry. A session whose chip is due for a bring-up
+    (``recovery_due``) is drained first: the pump waits until every
+    frame it submitted has been processed, detaches it, lets it
+    :meth:`~repro.fleet.session.EmulatedSession.recover` (which
+    flushes the old detector) and attaches it again, so the backend
+    builds the new detector and no frame outlives its own. Every pumped
+    session therefore processes exactly the frames its
+    :meth:`~repro.fleet.session.EmulatedSession.run_serial` does. Once
+    no session is producing (or after ``max_rounds``), the pump waits
+    until the backend is idle. Waits are on the sessions' completion
+    hooks, not a timer. Finally every session is detached, the backend
+    stopped, and every session closed (in processing order: the last
+    results are applied before ``close`` stamps STOPPED). Blocks the
+    calling thread.
     """
     if not sessions:
         raise ValueError("need at least one session")
@@ -128,6 +144,16 @@ def run_to_completion(
         if session.state is SessionState.INIT:
             session.start()
     completed = threading.Event()
+
+    def wait_until(done: Callable[[], bool]) -> None:
+        while True:
+            # Cleared before the check: a batch finishing after it sets
+            # the event again, so no completion is missed.
+            completed.clear()
+            if done():
+                return
+            completed.wait()
+
     backend.start()
     rounds = 0
     try:
@@ -139,20 +165,20 @@ def run_to_completion(
                 if not session.active or session.draining:
                     continue
                 alive = True
+                sid = session.session_id
                 item = session.produce()
                 if item is not None:
-                    backend.submit(session.session_id, item)
+                    backend.submit(sid, item)
+                elif session.recovery_due:
+                    wait_until(lambda: backend.drained(sid))
+                    backend.detach(sid)
+                    session.recover()
+                    backend.attach(session, on_complete=completed.set)
             rounds += 1
             backend.metrics.counter("fleet.rounds").inc()
             if not alive:
                 break
-        while True:
-            # Cleared before the check: a batch finishing after it sets
-            # the event again, so no completion is missed.
-            completed.clear()
-            if backend.idle():
-                break
-            completed.wait()
+        wait_until(backend.idle)
     finally:
         for session in sessions:
             try:

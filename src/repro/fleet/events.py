@@ -105,11 +105,9 @@ class FrameDropEvent(FleetEvent):
     where:
         ``"fifo"`` (device FIFO overflow / reset flush), ``"queue"``
         (the arriving frame, refused at admission because the session's
-        queue or shard ring was full), ``"stale"`` (queued before a
-        restart, flushed instead of fed to the new detector), or
-        ``"crash"`` (accepted, then lost with a shard worker that died
-        before reporting it). The session counts ``n_dropped`` on
-        ``dropped_<where>``.
+        queue or shard ring was full), or ``"crash"`` (accepted, then
+        lost with a shard worker that died before reporting it). The
+        session counts ``n_dropped`` on ``dropped_<where>``.
     """
 
     n_dropped: int

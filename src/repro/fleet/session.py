@@ -27,12 +27,15 @@ A wire fault (:class:`~repro.hardware.spi.SpiError`) does not crash an
 emulated session: it parks in DEGRADED, keeps *device time moving* (the
 chip keeps sampling into its FIFO — overflowing it, which is counted),
 then soft-resets and reconfigures the chip and re-enters a fresh 2 s
-cold start.
+cold start. The chip is brought back up only once every frame the old
+detector was fed has been processed (:meth:`EmulatedSession.recover`),
+so no frame outlives its detector.
 
 Threading contract (enforced by :mod:`repro.fleet.scheduler`):
-:meth:`EmulatedSession.produce` is only ever called from the pump thread
-and :meth:`DetectorSession.process` from at most one worker at a time;
-the small amount of state they share is guarded by an internal lock.
+:meth:`EmulatedSession.produce` and :meth:`~EmulatedSession.recover`
+are only ever called from the pump thread and
+:meth:`DetectorSession.process` from at most one worker at a time; the
+lifecycle state they share is guarded by an internal lock.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ from repro.hardware.spi import SpiBus, SpiError, SpiSlave
 
 __all__ = ["SessionState", "SessionConfig", "DetectorSession", "EmulatedSession", "FrameItem"]
 
-#: What a backend hands the workers: (generation, device time s, frame).
-FrameItem = tuple[int, float, np.ndarray]
+#: What a backend hands the workers: (frame, device time s).
+FrameItem = tuple[np.ndarray, float]
 
 
 class _World:
@@ -200,7 +203,6 @@ class DetectorSession:
 
         self._lock = threading.Lock()
         self._state = SessionState.INIT  # reprolint: guarded-by(_lock)
-        self._generation = 0  # bumped at every bring-up  # reprolint: guarded-by(_lock)
         self._closed = False
         #: Device time and detector frame index of the newest processed
         #: frame: the end-of-stream flush's anchor. The time is also the
@@ -238,16 +240,6 @@ class DetectorSession:
         return self._last_time_s
 
     @property
-    def generation(self) -> int:
-        """Current detector incarnation (bumped at every bring-up).
-
-        :meth:`make_item` stamps queued items with it, so a restart
-        mid-queue flushes the stale backlog.
-        """
-        with self._lock:
-            return self._generation
-
-    @property
     def blink_times_s(self) -> list[float]:
         """Device-time stamps of every detected blink."""
         return [e.time_s for e in self.blink_events]
@@ -257,7 +249,9 @@ class DetectorSession:
 
         A ``FrameDropEvent(where=w)`` adds its frames to ``dropped_<w>``;
         a blink, drowsy alert, fault or restart adds one to ``blinks``,
-        ``drowsy_alerts``, ``faults`` or ``restarts``.
+        ``drowsy_alerts``, ``faults`` or ``restarts``. A blink also
+        enters the blink-rate window, which may raise a drowsy alert:
+        alerts are raised where blinks are counted.
         """
         if isinstance(event, FrameDropEvent):
             self._count(f"dropped_{event.where}", event.n_dropped)
@@ -276,6 +270,8 @@ class DetectorSession:
         self.events.append(event)
         if self._sink is not None:
             self._sink(event)
+        if isinstance(event, BlinkEvent):
+            self._check_drowsy(event.time_s)
 
     def _record_batch(self, n_frames: int, latencies: list[float], time_s: float) -> None:
         """Count one processed batch and observe its enqueue-to-done latencies.
@@ -299,20 +295,30 @@ class DetectorSession:
         self._metric(name).inc(amount)
         self.metrics.counter(f"fleet.{name}").inc(amount)
 
-    def _transition(self, new_state: SessionState, at_s: float | None = None) -> None:
+    def _transition(
+        self,
+        new_state: SessionState,
+        at_s: float | None = None,
+        only_from: SessionState | None = None,
+    ) -> None:
         # at_s: device-time stamp; worker-side transitions pass the time
         # of the frame that caused them (an emulated session's world
-        # clock runs ahead of the queue).
+        # clock runs ahead of the queue). Emitted under the lock, so the
+        # logged transitions chain in the order they happened even when
+        # the pump and a worker race.
         with self._lock:
             old = self._state
-            if old is new_state:
+            if old is new_state or (only_from is not None and old is not only_from):
                 return
             self._state = new_state
-        self._emit(
-            StateChangeEvent(
-                self.session_id, self.time_s if at_s is None else at_s, old.value, new_state.value
+            self._emit(
+                StateChangeEvent(
+                    self.session_id,
+                    self.time_s if at_s is None else at_s,
+                    old.value,
+                    new_state.value,
+                )
             )
-        )
 
     def _metric(self, name: str) -> Counter:
         return self.metrics.counter(f"session.{self.session_id}.{name}")
@@ -336,25 +342,13 @@ class DetectorSession:
         self._bring_up()
 
     def _bring_up(self) -> None:
-        """Build a fresh detector under a new generation; enter cold start."""
-        # The generation bump and detector swap are atomic so workers
-        # never feed a frame from a dead incarnation to the new detector.
-        with self._lock:
-            self._generation += 1
-            self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
+        """Flush and let go of the old detector; build a fresh one; enter cold start."""
+        self.flush()
+        self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
         self._transition(SessionState.COLD_START)
 
     def _shutdown(self) -> None:
         self._transition(SessionState.STOPPED)
-
-    def make_item(self, timestamp_s: float, frame: np.ndarray) -> FrameItem:
-        """Build a backend queue item for one frame at device time ``timestamp_s``.
-
-        Stamps the item with the current detector generation, so frames
-        queued before a restart are flushed as stale instead of being
-        fed to the reborn detector.
-        """
-        return (self.generation, timestamp_s, frame)
 
     # ------------------------------------------------------------ process side
     def process(self, item: FrameItem, enqueued_at: float | None = None) -> None:
@@ -373,7 +367,7 @@ class DetectorSession:
     ) -> None:
         """Run the detector over several queued items (worker side, serialized).
 
-        Contiguous same-generation runs are stacked and fed to
+        The items are stacked and fed to
         :meth:`~repro.core.realtime.RealTimeBlinkDetector.process_block`,
         so a drained batch pays for one fused kernel launch instead of
         one per frame. Because the block walk is bit-identical to the
@@ -386,45 +380,12 @@ class DetectorSession:
         computed by a caller that fused the stage-1 kernel across many
         sessions (the shard worker). The cascade is stateless per row,
         so injecting it changes no output — it only moves the launch.
-
-        Frames queued before a restart (older generation) are flushed,
-        not processed: a reborn detector must cold-start on live frames,
-        not on a backlog from its dead predecessor followed by a time
-        jump it would misread as body movement. Staleness is judged
-        once per run; a recovery landing mid-run supersedes the
-        detector just as it could mid-frame before, and the state
-        mirror below stays generation-guarded either way.
         """
-        if enqueued_ats is None:
-            enqueued_ats = [None] * len(items)
-        start = 0
-        for k in range(1, len(items) + 1):
-            if k == len(items) or items[k][0] != items[start][0]:
-                self._process_run(
-                    items[start:k],
-                    enqueued_ats[start:k],
-                    None if denoised is None else denoised[start:k],
-                )
-                start = k
-
-    def _process_run(
-        self,
-        items: list[FrameItem],
-        enqueued_ats: list[float | None],
-        denoised: np.ndarray | None = None,
-    ) -> None:
-        generation = items[0][0]
-        with self._lock:
-            detector = self.detector
-            current = self._generation
+        detector = self.detector
         if detector is None:
             return
-        if generation != current:
-            for _, time_s, _ in items:
-                self._emit(FrameDropEvent(self.session_id, time_s, 1, where="stale"))
-            return
         statuses = detector.process_block(
-            np.stack([frame for _, _, frame in items]), denoised=denoised
+            np.stack([frame for frame, _ in items]), denoised=denoised
         )
         done_at = time.perf_counter()
         # The end-of-stream flush anchors on the newest frame the
@@ -432,45 +393,38 @@ class DetectorSession:
         # worker's session ships its batches instead of recording them.
         self._last_time_s = items[-1][1]
         self._last_det_index = statuses[-1].frame_index
-        self._record_batch(
-            len(statuses), [done_at - t for t in enqueued_ats if t is not None], self._last_time_s
-        )
-        for (_, time_s, _), status in zip(items, statuses):
+        latencies = [done_at - t for t in enqueued_ats if t is not None] if enqueued_ats else []
+        self._record_batch(len(statuses), latencies, self._last_time_s)
+        for (_, time_s), status in zip(items, statuses):
             if status.restarted:
                 self._emit(RestartEvent(self.session_id, time_s, reason="movement"))
             if status.event is not None:
                 # Stamp the blink at its apex in world time: LEVD
                 # completes a blink a few hundred ms after the apex, and
                 # the detector's own clock counts only delivered frames.
-                apex = self._apex_time(time_s, status.frame_index, status.event.frame_index)
-                self._on_blink(apex, status.event.frame_index, status.event.prominence)
+                event = status.event
+                apex = self._apex_time(time_s, status.frame_index, event.frame_index)
+                self._emit(BlinkEvent(self.session_id, apex, event.frame_index, event.prominence))
             # Mirror the detector's internal cold-start cycle into the
             # session state (movement restarts re-enter cold start too).
             # status.selected_bin reflects the detector's bin *after*
             # this frame, so mirroring from statuses is frame-exact.
-            # Guarded by generation: a recovery may supersede this
-            # detector while the block runs, and its bin selection must
-            # not leak onto the new incarnation's state.
-            self._mirror_state(generation, time_s, selected=status.selected_bin != -1)
+            self._mirror_state(time_s, selected=status.selected_bin != -1)
 
-    def _mirror_state(self, generation: int, time_s: float, selected: bool) -> None:
-        new_state: SessionState | None = None
-        with self._lock:
-            if self._generation == generation:
-                if self._state is SessionState.COLD_START and selected:
-                    self._state = new_state = SessionState.RUNNING
-                elif self._state is SessionState.RUNNING and not selected:
-                    self._state = new_state = SessionState.COLD_START
-        if new_state is not None:
-            old = (
-                SessionState.COLD_START
-                if new_state is SessionState.RUNNING
-                else SessionState.RUNNING
-            )
-            self._emit(StateChangeEvent(self.session_id, time_s, old.value, new_state.value))
+    def _mirror_state(self, time_s: float, selected: bool) -> None:
+        """Follow the detector's cold-start cycle: COLD_START ⇄ RUNNING only.
 
-    def _on_blink(self, time_s: float, frame_index: int, prominence: float) -> None:
-        self._emit(BlinkEvent(self.session_id, time_s, frame_index, prominence))
+        Every other state (INIT, DEGRADED, STOPPED) belongs to the
+        session's owner, and a mirror never leaves it. The sharded
+        parent replays each worker ``StateChangeEvent`` through here.
+        """
+        if selected:
+            self._transition(SessionState.RUNNING, time_s, only_from=SessionState.COLD_START)
+        else:
+            self._transition(SessionState.COLD_START, time_s, only_from=SessionState.RUNNING)
+
+    def _check_drowsy(self, time_s: float) -> None:
+        """Add a blink at ``time_s`` to the rate window; alert past the threshold."""
         window = self.config.drowsy_window_s
         times = self._blink_times
         times.append(time_s)
@@ -498,8 +452,9 @@ class DetectorSession:
         """Report the blink the detector still holds at end of stream.
 
         Stamped from the newest processed frame, as every other blink
-        is. :meth:`close` calls it; a shard worker calls it at detach,
-        where its copy of the session's detector lives.
+        is. Called wherever a detector is let go: :meth:`close`, every
+        bring-up after the first, and a shard worker's detach, where its
+        copy of the session's detector lives.
         """
         detector = self.detector
         if detector is None:
@@ -507,7 +462,7 @@ class DetectorSession:
         event = detector.finish()
         if event is not None:
             apex = self._apex_time(self._last_time_s, self._last_det_index, event.frame_index)
-            self._on_blink(apex, event.frame_index, event.prominence)
+            self._emit(BlinkEvent(self.session_id, apex, event.frame_index, event.prominence))
 
     def close(self) -> None:
         """Flush the detector and stamp STOPPED (call after the queue drained)."""
@@ -528,7 +483,7 @@ class DetectorSession:
             "restarts": self.restarts,
             **{
                 f"dropped_{where}": self._metric(f"dropped_{where}").value
-                for where in ("fifo", "queue", "stale", "crash")
+                for where in ("fifo", "queue", "crash")
             },
         }
 
@@ -591,6 +546,9 @@ class EmulatedSession(DetectorSession):
         self._recovery_attempts = 0
         self._restart_requested = False
         self._stop_requested = False
+        #: Set by :meth:`produce` when the chip is due for a bring-up;
+        #: the caller answers with :meth:`recover`.
+        self.recovery_due = False
         #: True once the world ran dry: the pump must stop producing,
         #: but STOPPED is only stamped after the queue drains (close()),
         #: so worker-side transitions land in order.
@@ -639,7 +597,7 @@ class EmulatedSession(DetectorSession):
         super()._shutdown()
 
     def request_restart(self) -> None:
-        """Ask for an operator restart (honoured on the next produce)."""
+        """Ask for an operator restart (due on the next produce)."""
         self._restart_requested = True
 
     def request_stop(self) -> None:
@@ -648,14 +606,16 @@ class EmulatedSession(DetectorSession):
 
     # ------------------------------------------------------------ produce side
     def produce(self) -> FrameItem | None:
-        """Advance one frame period; return ``(generation, time_s, frame)``.
+        """Advance one frame period; return ``(frame, time_s)``.
 
         Called once per scheduling round by the pump thread; returns
-        None when no frame arrived this period. All fault handling
-        lives here: an :class:`SpiError` parks the session in DEGRADED
-        instead of propagating. The generation tag lets :meth:`process`
-        flush frames that were queued before a restart instead of
-        feeding the reborn detector a stale backlog.
+        None when no frame arrived this period. An :class:`SpiError`
+        parks the session in DEGRADED instead of propagating. A round
+        that finds the chip due for a bring-up (the DEGRADED backoff
+        ran out, or an operator restart was requested) produces nothing
+        and sets :attr:`recovery_due` instead: the caller answers with
+        :meth:`recover` once every frame it took from this session has
+        been processed.
         """
         state = self.state
         if state in (SessionState.INIT, SessionState.STOPPED):
@@ -670,12 +630,11 @@ class EmulatedSession(DetectorSession):
             # real, counted losses.
             self.device.tick()
             self._backoff -= 1
-            if self._backoff <= 0:
-                self._recover(reason="spi_fault")
+            self.recovery_due = self._backoff <= 0
             return None
         if self._restart_requested:
             self._restart_requested = False
-            self._recover(reason="manual")
+            self.recovery_due = True
             return None
         try:
             item = self._stream.poll()
@@ -689,7 +648,7 @@ class EmulatedSession(DetectorSession):
                 self.draining = True
             return None
         timestamp, frame = item
-        return self.make_item(self._base_cursor * self._period_s + timestamp, frame)
+        return frame, self._base_cursor * self._period_s + timestamp
 
     def _account_fifo_drops(self) -> None:
         dropped = self._stream.dropped
@@ -698,8 +657,16 @@ class EmulatedSession(DetectorSession):
             self._drops_reported = dropped
             self._emit(FrameDropEvent(self.session_id, self.time_s, delta, where="fifo"))
 
-    def _recover(self, reason: str) -> None:
-        """Soft-reset and reconfigure the chip; re-enter cold start."""
+    def recover(self) -> None:
+        """Soft-reset and reconfigure the chip; re-enter cold start.
+
+        The answer to :attr:`recovery_due`. The bring-up flushes and
+        lets go of the old detector, so call it only once every frame
+        this session produced has been processed: :meth:`run_serial`
+        has nothing queued, and the pump drains the session first.
+        """
+        self.recovery_due = False
+        reason = "spi_fault" if self.state is SessionState.DEGRADED else "manual"
         # Everything the world produced this incarnation that never made
         # it to the detector is lost at the reset (FIFO flush + overflow
         # drops not yet accounted).
@@ -735,6 +702,8 @@ class EmulatedSession(DetectorSession):
             item = self.produce()
             if item is not None:
                 self.process(item, enqueued_at=time.perf_counter())
+            elif self.recovery_due:
+                self.recover()
         self.close()
 
     def health(self) -> dict[str, object]:

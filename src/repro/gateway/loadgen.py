@@ -60,7 +60,7 @@ class VehicleReport:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Aggregate outcome of one load-generation run."""
+    """Aggregate outcome of one load-generator run."""
 
     vehicles: list[VehicleReport]
     wall_s: float

@@ -522,9 +522,7 @@ class GatewayServer:
             # Write-before-submit: anything the detector sees is already
             # on its way to disk.
             conn.recorder.append(frame, msg.timestamp_s)
-        accepted = self.scheduler.submit(
-            session.session_id, session.make_item(msg.timestamp_s, frame)
-        )
+        accepted = self.scheduler.submit(session.session_id, (frame, msg.timestamp_s))
         conn.submitted += 1
         if accepted:
             conn.pending_seqs.append(msg.seq)

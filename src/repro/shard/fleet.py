@@ -24,8 +24,8 @@ Accounting invariants:
   or **refused** (ring full — evented by the shared
   :func:`~repro.fleet.backend.account_queue`, ``submit`` returns False,
   as on the threaded backend). Every accepted frame is eventually
-  **consumed** (the worker processed or stale-flushed it) or — only if
-  its shard dies first — counted as a crash loss. ``drained(sid)`` is exactly
+  **consumed** (the worker processed it) or — only if its shard dies
+  first — counted as a crash loss. ``drained(sid)`` is exactly
   ``consumed >= accepted``, and reports ship *after* processing, so a
   drained session's results are already visible parent-side.
 - A SIGKILLed worker costs only the frames it took off its ring but
@@ -53,7 +53,10 @@ Accounting invariants:
   ``queue_depth`` gauge, so a drained session reads 0.
 - Workers count nothing: the parent replays each report's events and
   batches through its session's ``_emit`` and ``_record_batch``, the
-  two methods that count on the threaded backend too.
+  two methods that count on the threaded backend too. A worker's
+  ``StateChangeEvent`` replays through ``_mirror_state``, the method a
+  threaded worker calls: it only follows the detector's COLD_START ⇄
+  RUNNING cycle, so INIT, DEGRADED and STOPPED stay the parent's own.
 - Each report carries its worker's resident set, exported as the gauge
   ``shard.<i>.rss_bytes`` (``repro_shard_rss_bytes{shard="<i>"}`` on
   ``/metrics``). A shard's series leaves the registry when the shard
@@ -71,7 +74,7 @@ from typing import Any
 import numpy as np
 
 from repro.fleet.backend import account_queue
-from repro.fleet.events import FrameDropEvent
+from repro.fleet.events import FrameDropEvent, StateChangeEvent
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.session import DetectorSession, FrameItem, SessionState
 from repro.shard.messages import (
@@ -321,18 +324,14 @@ class ShardedFleet:
         :func:`~repro.fleet.backend.account_queue`, as the threaded
         scheduler's queue drops are).
         """
-        generation, timestamp_s, frame = item
+        frame, timestamp_s = item
         with self._cond:
             worker = self._assign.get(session_id)
             if worker is None:
                 raise KeyError(f"unknown session id {session_id!r}")
             index = self._index_of[session_id]
             slot = encode_slot(
-                index,
-                generation,
-                time.perf_counter(),
-                timestamp_s,
-                np.ascontiguousarray(frame),
+                index, time.perf_counter(), timestamp_s, np.ascontiguousarray(frame)
             )
             accepted = worker.ring.push(slot)
             if accepted:
@@ -436,7 +435,8 @@ class ShardedFleet:
 
         Each batch goes through the session's ``_record_batch`` and each
         event through its ``_emit``, which count them exactly as they
-        count the threaded backend's.
+        count the threaded backend's; a state change goes through its
+        ``_mirror_state``, as a threaded worker's does.
         """
         if report.unrouted:
             self.metrics.counter("shard.unrouted_frames").inc(report.unrouted)
@@ -450,12 +450,14 @@ class ShardedFleet:
                 session._record_batch(n_frames, latencies, time_s)
         for event in report.events:
             session = sessions.get(event.session_id)
-            if session is not None:
+            if session is None:
+                continue
+            if isinstance(event, StateChangeEvent):
+                session._mirror_state(
+                    event.time_s, selected=event.new_state == SessionState.RUNNING.value
+                )
+            else:
                 session._emit(event)
-        for sid, (generation, state_value) in report.states.items():
-            session = sessions.get(sid)
-            if session is not None:
-                self._mirror_state(session, generation, state_value)
         hooks: list[Callable[[], None]] = []
         with self._cond:
             for sid, consumed in report.consumed.items():
@@ -484,22 +486,6 @@ class ShardedFleet:
         self._sessions.pop(ack.session_id, None)
         self._hooks.pop(ack.session_id, None)
         self._cond.notify_all()
-
-    def _mirror_state(
-        self, session: DetectorSession, generation: int, state_value: str
-    ) -> None:
-        # Generation-guarded, and never resurrects a stopped session:
-        # the parent owns INIT/STOPPED, the worker owns the running
-        # cycle (COLD_START ⇄ RUNNING) in between.
-        new_state = SessionState(state_value)
-        if new_state in (SessionState.INIT, SessionState.STOPPED):
-            return
-        with session._lock:
-            if session._generation != generation:
-                return
-            if session._state in (SessionState.INIT, SessionState.STOPPED):
-                return
-            session._state = new_state
 
     def _account_exit(self, sid: str) -> None:  # reprolint: guarded-by(_cond)
         """Rewrite a session's depth gauge after its consumed count moved."""
@@ -572,6 +558,9 @@ class ShardedFleet:
             self._pool = [replacement if w is worker else w for w in self._pool]
             for sid in homed:
                 self._assign[sid] = replacement
+                # The replacement builds a fresh detector: it starts cold.
+                session = self._sessions[sid]
+                session._mirror_state(session.time_s, selected=False)
             for sid in attaching:
                 self._attaching[sid] = replacement
             self._cond.notify_all()

@@ -78,18 +78,19 @@ class ShardReport:
     """Per-tick results and accounting (worker → parent).
 
     ``consumed`` is cumulative per session — frames taken off the ring
-    and fully handled (processed or flushed as stale) — and is what the
-    parent's ``drained()`` compares against its accepted counts. Reports
-    are sent *after* the tick's processing, so a drained session's
-    results are already applied parent-side. ``events`` and ``batches``
-    are what the worker's sessions recorded since the last report, in
-    order; the parent replays them through its own session's ``_emit``
-    and ``_record_batch``, which count them, so latencies cross as raw
+    and processed — and is what the parent's ``drained()`` compares
+    against its accepted counts. Reports are sent *after* the tick's
+    processing, so a drained session's results are already applied
+    parent-side. ``events`` and ``batches`` are what the worker's
+    sessions recorded since the last report, in order; the parent
+    replays them through its own session's ``_emit`` and
+    ``_record_batch``, which count them, so latencies cross as raw
     observations and parent-side percentiles stay exact, and a batch's
-    newest device time moves the parent session's clock. ``states``
-    carries ``(generation, state)`` so lifecycle mirroring stays
-    generation-guarded across the process boundary. ``unrouted`` counts
-    frames for sessions the shard does not home (``shard.unrouted_frames``).
+    newest device time moves the parent session's clock. A
+    ``StateChangeEvent`` replays through the session's
+    ``_mirror_state`` instead, which only follows the detector's
+    COLD_START ⇄ RUNNING cycle. ``unrouted`` counts frames for sessions
+    the shard does not home (``shard.unrouted_frames``).
     ``rss_bytes`` is the worker's resident set when the report was built
     (0 where the platform has no ``/proc``); the parent exports it as the
     ``shard.<i>.rss_bytes`` gauge.
@@ -98,7 +99,6 @@ class ShardReport:
     consumed: dict[str, int] = field(default_factory=dict)
     events: list[FleetEvent] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
-    states: dict[str, tuple[int, str]] = field(default_factory=dict)
     unrouted: int = 0
     rss_bytes: int = 0
 

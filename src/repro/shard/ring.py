@@ -32,15 +32,15 @@ Slot content reuses the ``.rst`` chunk framing from
 :mod:`repro.store.format` — the wire format the rest of the repo already
 trusts for checksummed frame transport::
 
-    route   = session_index u32 | generation u32
-            | dtype code u8 | pad 7B | enqueued_at f64   (24 B)
+    route   = session_index u32 | dtype code u8 | pad 3B
+            | enqueued_at f64                            (16 B)
     block   = pack_block_header(KIND_CHUNK, 1, payload)  (24 B)
     payload = timestamp f64 | frame row bytes            (one-frame CHUNK)
 
 ``payload`` is byte-for-byte what a one-frame ``.rst`` CHUNK block
 carries, and the 24-byte block header CRCs both itself and the payload,
 so a corrupted slot fails loudly on the consumer side instead of feeding
-the detector garbage. The frame bytes start 8-byte aligned (24+24+8+8),
+the detector garbage. The frame bytes start 8-byte aligned (16+24+8),
 so the consumer can wrap them in a numpy view *in place* — frames are
 never copied out of shared memory before the fused kernel gathers them.
 """
@@ -67,9 +67,9 @@ from repro.store.format import (
 __all__ = ["RingFrame", "ShmRing", "encode_slot"]
 
 _MAGIC = b"SRNG"
-_VERSION = 2
+_VERSION = 3
 _META = struct.Struct("<4sHHQQ")
-_ROUTE = struct.Struct("<IIB7xd")
+_ROUTE = struct.Struct("<IB3xd")
 
 _HEAD_OFF = 64
 _TAIL_OFF = 128
@@ -81,7 +81,7 @@ _HEAD = _HEAD_OFF // 8
 _TAIL = _TAIL_OFF // 8
 _DROPS = _DROPS_OFF // 8
 
-_ROUTE_SIZE = _ROUTE.size  # 24
+_ROUTE_SIZE = _ROUTE.size  # 16
 _BLOCK_OFF = _ROUTE_SIZE  # block header follows the route prefix
 _PAYLOAD_OFF = _BLOCK_OFF + 24  # chunk payload follows the block header
 
@@ -93,11 +93,7 @@ def slot_bytes_for(n_bins: int, itemsize: int = 16) -> int:
 
 
 def encode_slot(
-    session_index: int,
-    generation: int,
-    enqueued_at: float,
-    timestamp_s: float,
-    frame: np.ndarray,
+    session_index: int, enqueued_at: float, timestamp_s: float, frame: np.ndarray
 ) -> bytes:
     """Encode one frame into ring-slot bytes (route + framed chunk).
 
@@ -117,7 +113,7 @@ def encode_slot(
         frame = frame.astype(little)
     payload = struct.pack("<d", timestamp_s) + frame.tobytes()
     return (
-        _ROUTE.pack(session_index, generation, code, enqueued_at)
+        _ROUTE.pack(session_index, code, enqueued_at)
         + pack_block_header(KIND_CHUNK, 1, payload)
         + payload
     )
@@ -133,18 +129,12 @@ class RingFrame:
     most 64 slots (``repro.shard.worker._TICK_MAX``).
     """
 
-    __slots__ = ("enqueued_at", "frame", "generation", "session_index", "timestamp_s")
+    __slots__ = ("enqueued_at", "frame", "session_index", "timestamp_s")
 
     def __init__(
-        self,
-        session_index: int,
-        generation: int,
-        enqueued_at: float,
-        timestamp_s: float,
-        frame: np.ndarray,
+        self, session_index: int, enqueued_at: float, timestamp_s: float, frame: np.ndarray
     ) -> None:
         self.session_index = session_index
-        self.generation = generation
         self.enqueued_at = enqueued_at
         self.timestamp_s = timestamp_s
         self.frame = frame
@@ -267,7 +257,7 @@ class ShmRing:
         buf = self._shm.buf
         for k in range(avail):
             off = self._slot_off(head + k)
-            session_index, generation, code, enqueued_at = _ROUTE.unpack_from(buf, off)
+            session_index, code, enqueued_at = _ROUTE.unpack_from(buf, off)
             header = unpack_block_header(
                 bytes(buf[off + _BLOCK_OFF : off + _PAYLOAD_OFF])
             )
@@ -281,9 +271,7 @@ class ShmRing:
                 raise StoreFormatError(f"ring slot {head + k} has dtype code {code}")
             (timestamp_s,) = struct.unpack_from("<d", payload, 0)
             frame = np.frombuffer(payload, dtype=dtype, offset=8)
-            out.append(
-                RingFrame(session_index, generation, enqueued_at, timestamp_s, frame)
-            )
+            out.append(RingFrame(session_index, enqueued_at, timestamp_s, frame))
         return out
 
     def advance(self, n: int) -> None:

@@ -25,7 +25,8 @@ The worker process owns a shard of sessions. Its loop is a tick:
    of a detach's drain — and heartbeat on a fixed cadence while idle.
    Reports go after processing, so the parent's ``drained()`` implies
    results are already applied. The worker counts nothing itself: the
-   parent counts each event and batch once, on its own session.
+   parent counts each event and batch once, on its own session, and
+   raises the drowsy alerts there.
 
 Latency is measured worker-side against the parent's ``perf_counter``
 enqueue stamps: both clocks are CLOCK_MONOTONIC on Linux, so the stamps
@@ -48,9 +49,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.realtime import RealTimeBlinkDetector
 from repro.fleet.events import FleetEvent
-from repro.fleet.session import DetectorSession, SessionState
+from repro.fleet.session import DetectorSession
 from repro.shard.messages import (
     AttachMsg,
     BatchRecord,
@@ -107,12 +107,10 @@ class _ShardSession(DetectorSession):
     same events, same end-of-stream flush — except that it counts
     nothing: :meth:`_emit` and :meth:`_record_batch` hand each event and
     batch to the next report, and the parent counts them on its own
-    session. Plus the generation bridge: the *parent* owns the produce
-    side (faults, restarts, generation bumps), so when stamped
-    generations move past this mirror's, it rebuilds its detector
-    exactly as the parent's ``_bring_up`` swap would have, and
-    older-generation frames flush as stale through the inherited run
-    splitting.
+    session. So it never raises a drowsy alert either: the parent does,
+    from the blinks it counts, and its blink-rate window outlives any
+    worker. A parent-side chip restart re-attaches the session, which
+    builds a fresh one of these.
     """
 
     #: Collects the next report; wired after start, as the bring-up
@@ -126,15 +124,6 @@ class _ShardSession(DetectorSession):
     def _record_batch(self, n_frames: int, latencies: list[float], time_s: float) -> None:
         if self.outbox is not None:
             self.outbox.batches.append((self.session_id, n_frames, latencies, time_s))
-
-    def adopt_generation(self, generation: int) -> None:
-        """Mirror a parent-side restart: fresh detector, cold start."""
-        with self._lock:
-            if generation <= self._generation:
-                return
-            self._generation = generation
-            self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
-            self._state = SessionState.COLD_START
 
 
 class _WorkerState:
@@ -183,8 +172,6 @@ class _WorkerState:
         # Only the detector lives here: lifecycle stamping stays with
         # the parent's own close().
         session.flush()
-        # Build the final report *before* deregistering: its state
-        # mirror walks ``by_id``.
         final = self.report()
         del self.by_id[session_id]
         self.by_index = {i: s for i, s in self.by_index.items() if s is not session}
@@ -198,10 +185,6 @@ class _WorkerState:
             consumed=dict(self.consumed),
             events=self.events,
             batches=self.batches,
-            states={
-                sid: (session.generation, session.state.value)
-                for sid, session in self.by_id.items()
-            },
             unrouted=self.unrouted,
             rss_bytes=_rss_bytes(),
         )
@@ -253,9 +236,8 @@ def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:
             # homes: consume it loudly, never wedge the ring.
             state.unrouted += len(rfs)
             continue
-        session.adopt_generation(max(rf.generation for rf in rfs))
         session.process_batch(
-            [(rf.generation, rf.timestamp_s, rf.frame) for rf in rfs],
+            [(rf.frame, rf.timestamp_s) for rf in rfs],
             enqueued_ats=[rf.enqueued_at for rf in rfs],
             denoised=denoised_of.get(index),
         )

@@ -5,8 +5,8 @@ process-sharded :class:`ShardedFleet` (see ``repro.fleet.backend`` for
 the contract): one test per :class:`ServeBackend` method, the one shed
 policy and its conservation, the gateway's exact ACK watermark that
 policy makes possible, counter parity with a serial run, the
-run-to-completion pump against a serial run, and the documented
-deviations between the two backends.
+run-to-completion pump against a serial run (chip restarts included),
+and the documented deviations between the two backends.
 
 Nothing here sleeps or polls: a wait is on the session's completion
 hook (with a deadline only as a failure bound), and a full queue is
@@ -29,7 +29,8 @@ import numpy as np
 import pytest
 
 from repro.fleet.backend import ServeBackend, run_to_completion
-from repro.fleet.events import FrameDropEvent
+from repro.fleet.events import FrameDropEvent, RestartEvent, StateChangeEvent
+from repro.fleet.faults import SpiFaultInjector
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.session import DetectorSession, EmulatedSession, SessionState
 from repro.gateway.protocol import Ack, Drain, Frame, WireDecoder, encode_frame_payload
@@ -62,7 +63,7 @@ def _items(session: DetectorSession, count: int, seed: int = 5):
         frame = (
             rng.standard_normal(_N_BINS) + 1j * rng.standard_normal(_N_BINS)
         ).astype(np.complex64)
-        yield session.make_item(k / _FPS, frame)
+        yield frame, k / _FPS
 
 
 class _Completions:
@@ -179,7 +180,7 @@ class TestContract:
 
     def test_unknown_id_raises_key_error(self, running):
         with pytest.raises(KeyError):
-            running.submit("ghost", (0, 0.0, np.zeros(_N_BINS, np.complex64)))
+            running.submit("ghost", (np.zeros(_N_BINS, np.complex64), 0.0))
         with pytest.raises(KeyError):
             running.drained("ghost")
         with pytest.raises(KeyError):
@@ -260,7 +261,7 @@ class TestContract:
             done = _attach(running, session)
             try:
                 for k in range(len(frames)):
-                    assert running.submit(sid, session.make_item(k / fps, frames[k]))
+                    assert running.submit(sid, (frames[k], k / fps))
                 done.wait(lambda sid=sid: running.drained(sid))
             finally:
                 running.detach(sid)
@@ -374,7 +375,7 @@ class TestWatermark:
             pump = asyncio.ensure_future(server._ack_pump(conn, wire))
             try:
                 with _consumers_held(name, backend):
-                    for seq, (_, time_s, frame) in enumerate(_items(session, n)):
+                    for seq, (frame, time_s) in enumerate(_items(session, n)):
                         frame_msg = Frame(1, seq, time_s, encode_frame_payload(frame))
                         assert await server._handle_message(conn, frame_msg, wire)
                     for _ in range(5):
@@ -423,7 +424,7 @@ class TestCounterParity:
 
         serial = ingest(None)
         for k in range(len(frames)):
-            serial.process(serial.make_item(k / fps, frames[k]), time.perf_counter())
+            serial.process((frames[k], k / fps), time.perf_counter())
         serial.close()
 
         backend = _backend(backend_name, queue_depth=4096)
@@ -432,7 +433,7 @@ class TestCounterParity:
             session = ingest(backend.metrics)
             done = _attach(backend, session)
             for k in range(len(frames)):
-                assert backend.submit("p12", session.make_item(k / fps, frames[k]))
+                assert backend.submit("p12", (frames[k], k / fps))
             done.wait(lambda: backend.drained("p12"))
             backend.detach("p12")
             session.close()
@@ -451,19 +452,92 @@ class TestCounterParity:
         assert session.blink_times_s == serial.blink_times_s
 
 
+#: Wire transactions at bring-up and per streamed frame (see
+#: ``repro.fleet.service``): aims an injected fault at a stream time.
+_TX_STARTUP, _TX_PER_FRAME = 5, 7
+
+
+class _RestartAtRound(EmulatedSession):
+    """A vehicle whose operator asks for a restart at one pump round:
+    ``produce`` runs once per round under ``run_serial`` and the pump
+    alike, so the request lands on the same frame in both."""
+
+    def __init__(self, *args, restart_round: int, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._rounds_left = restart_round
+
+    def produce(self):
+        self._rounds_left -= 1
+        if self._rounds_left == 0:
+            self.request_restart()
+        return super().produce()
+
+
+def _vehicle(case: str, frames: np.ndarray, metrics=None) -> EmulatedSession:
+    if case == "fault":
+        # Burst 2 at 4 s: the poll fault takes one corrupted
+        # transaction and the first reset attempt the other, so one
+        # reset fails before the second brings the chip back.
+        fault_tx = _TX_STARTUP + _TX_PER_FRAME * int(4.0 * _FPS)
+        return EmulatedSession(
+            "v00",
+            frames,
+            wire_factory=lambda device: SpiFaultInjector(device, fault_at=(fault_tx,), burst=2),
+            metrics=metrics,
+        )
+    if case == "restart":
+        return _RestartAtRound("v00", frames, metrics=metrics, restart_round=int(6.0 * _FPS))
+    return EmulatedSession("v00", frames, metrics=metrics)
+
+
+def _session_counters(metrics) -> dict[str, int]:
+    counters = metrics.as_dict()["counters"]
+    return {name: value for name, value in counters.items() if name.startswith("session.v00.")}
+
+
+_PUMP_CASES = [
+    pytest.param(backend, case, id=backend if case == "clean" else f"{backend}-{case}")
+    for case in ("clean", "fault", "restart")
+    for backend in _BACKENDS
+]
+
+
 class TestPump:
-    @pytest.mark.parametrize("backend_name", _BACKENDS)
-    def test_pump_matches_run_serial(self, backend_name, fleet_trace):
-        """The one pump changes no detection result on either backend."""
+    @pytest.mark.parametrize("backend_name, case", _PUMP_CASES)
+    def test_pump_matches_run_serial(self, backend_name, case, fleet_trace):
+        """The one pump changes no detection result on either backend,
+        across a chip restart too (a faulted wire whose burst fails one
+        reset, or an operator restart): the pump drains a session before
+        its chip comes back up, so it processes exactly the frames its
+        serial run does, and one state machine writes its state."""
         backend = _backend(backend_name)
-        session = EmulatedSession("v00", fleet_trace.frames, metrics=backend.metrics)
+        session = _vehicle(case, fleet_trace.frames, backend.metrics)
         rounds = run_to_completion(backend, [session])
-        reference = EmulatedSession("ref", fleet_trace.frames)
+        reference = _vehicle(case, fleet_trace.frames)
         reference.run_serial()
+
+        got, want = session.health(), reference.health()
+        del got["time_s"], want["time_s"]
+        assert got == want
+        assert _session_counters(backend.metrics) == _session_counters(reference.metrics)
         assert session.blink_times_s == reference.blink_times_s
         assert len(reference.blink_times_s) > 0
+        restarts = [e for e in reference.events if isinstance(e, RestartEvent)]
+        if case == "clean":
+            assert session.frames_processed == fleet_trace.n_frames
+        else:
+            assert [(e.reason, e.attempts) for e in restarts] == [
+                ("spi_fault", 2) if case == "fault" else ("manual", 1)
+            ]
+        for run in (session, reference):
+            states = [
+                (e.old_state, e.new_state)
+                for e in run.events
+                if isinstance(e, StateChangeEvent)
+            ]
+            assert states[0] == ("init", "cold_start")
+            assert all(a[1] == b[0] for a, b in zip(states, states[1:])), states
         assert session.state is SessionState.STOPPED
-        assert session.frames_processed == fleet_trace.n_frames
         assert backend.metrics.counter("fleet.rounds").value == rounds
         assert backend.metrics.gauge("session.v00.queue_depth").value == 0
 

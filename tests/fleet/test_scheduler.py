@@ -15,8 +15,8 @@ from repro.fleet.events import FrameDropEvent
 
 
 def _item(k: int):
-    """A frame item ``(generation, time_s, frame)`` carrying its index."""
-    return (0, k / 25.0, k)
+    """A frame item ``(frame, time_s)`` carrying its index as the frame."""
+    return (k, k / 25.0)
 
 
 class FakeSession:
@@ -27,6 +27,7 @@ class FakeSession:
         self.n_items = n_items
         self.state = SessionState.INIT
         self.draining = False
+        self.recovery_due = False
         self.closed = False
         self.produced = 0
         self.processed: list[int] = []
@@ -54,7 +55,7 @@ class FakeSession:
         n = self._in_process = self._in_process + 1
         if n > 1:
             self._overlap = True
-        self.processed.append(item[2])
+        self.processed.append(item[0])
         self._in_process -= 1
 
     def process_batch(self, items, enqueued_ats=None):

@@ -3,8 +3,7 @@
 The serve surface both backends share (attach/detach, non-blocking
 submit, drained/idle, start/stop, shed accounting) is pinned once for
 both in ``test_backend_contract.py``. What stays here is threaded-only:
-many producer threads submitting at once, and attach-before-start used
-to queue stale frames ahead of the workers. Waits are on the completion
+many producer threads submitting at once. Waits are on the completion
 hook, never a timed poll.
 """
 
@@ -20,7 +19,7 @@ import repro.fleet.session as session_module
 from repro.core.realtime import RealTimeBlinkDetector
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.session import DetectorSession, EmulatedSession
+from repro.fleet.session import DetectorSession
 
 
 def _ingest_session(session_id: str, metrics=None, n_bins: int = 16):
@@ -31,26 +30,11 @@ def _ingest_session(session_id: str, metrics=None, n_bins: int = 16):
     return session
 
 
-def _emulated_session(session_id: str, metrics=None) -> EmulatedSession:
-    """Served sessions never restart: a generation bump takes an emulated
-    session's chip restart."""
-    session = EmulatedSession(
-        session_id, np.ones((8, 16), dtype=np.complex64), metrics=metrics
-    )
-    session.start()
-    return session
-
-
-def _restart(session: EmulatedSession) -> None:
-    session.request_restart()
-    assert session.produce() is None  # the restart consumed the round
-
-
 def _frames(session, count: int, start: int = 0):
     rng = np.random.default_rng(5)
     for k in range(start, start + count):
         frame = (rng.standard_normal(session.n_bins) + 1j).astype(np.complex64)
-        yield session.make_item(k / 25.0, frame)
+        yield frame, k / 25.0
 
 
 def _wait_drained(scheduler, session_id: str, completed: threading.Event) -> None:
@@ -96,27 +80,6 @@ class TestServeMode:
             for session in sessions:
                 session.close()
 
-    def test_generation_stale_frames_flushed_on_restart(self):
-        metrics = MetricsRegistry()
-        scheduler = FleetScheduler(workers=1, queue_depth=64, metrics=metrics)
-        session = _emulated_session("g0", metrics)
-        completed = threading.Event()
-        scheduler.attach(session, on_complete=completed.set)
-        stale = list(_frames(session, 5))
-        # A restart bumps the generation; frames stamped before it are
-        # flushed as stale by the worker, not fed to the new detector.
-        _restart(session)
-        for item in stale:
-            scheduler.submit("g0", item)
-        scheduler.start()
-        _wait_drained(scheduler, "g0", completed)
-        scheduler.stop()
-        assert session.frames_processed == 0
-        assert metrics.counter("session.g0.dropped_stale").value == 5
-        # /healthz names the loss too.
-        assert session.health()["dropped_stale"] == 5
-        session.close()
-
 
 class TestIngestSession:
     """The served :class:`DetectorSession`, built from declared geometry."""
@@ -125,18 +88,6 @@ class TestIngestSession:
         session = DetectorSession("r0", n_bins=8, frame_rate_hz=17.3)
         assert session.frame_rate_hz == 17.3
         session.close()
-
-    def test_make_item_stamps_current_generation(self):
-        session = _ingest_session("r2")
-        item = session.make_item(0.0, np.zeros(16, dtype=np.complex64))
-        assert item[0] == session.generation
-        session.close()
-        emulated = _emulated_session("r2e")
-        before = emulated.make_item(0.0, np.zeros(16, dtype=np.complex64))
-        _restart(emulated)
-        item2 = emulated.make_item(0.04, np.zeros(16, dtype=np.complex64))
-        assert item2[0] == emulated.generation == before[0] + 1
-        emulated.close()
 
     def test_builds_the_detector_and_no_hardware(self, monkeypatch):
         def no_hardware(*args, **kwargs):

@@ -10,6 +10,7 @@ from repro.core.pipeline import BlinkRadar
 from repro.core.realtime import RealTimeBlinkDetector
 from repro.eval.metrics import score_blink_detection
 from repro.fleet import (
+    BlinkEvent,
     DetectorSession,
     DrowsyAlertEvent,
     EmulatedSession,
@@ -184,7 +185,10 @@ class TestControlRequests:
         self._drive(session, 60)
         session.request_restart()
         while session.produce() is not None:
-            pass  # the request is honoured on the next produce
+            pass  # the restart is due on the next produce
+        assert session.recovery_due
+        session.recover()
+        assert not session.recovery_due
         restarts = [e for e in session.events if isinstance(e, RestartEvent)]
         assert [e.reason for e in restarts] == ["manual"]
         assert session.state is SessionState.COLD_START
@@ -198,24 +202,6 @@ class TestControlRequests:
         assert session.state is SessionState.STOPPED
         assert not session.active
 
-    def test_stale_generation_frames_are_flushed(self, fleet_trace):
-        session = EmulatedSession("op", fleet_trace.frames)
-        session.start()
-        backlog = []
-        while len(backlog) < 5:
-            item = session.produce()
-            if item is not None:
-                backlog.append(item)
-        session.request_restart()
-        assert session.produce() is None  # the restart consumed the round
-        processed_before = session.frames_processed
-        for item in backlog:
-            session.process(item)
-        assert session.frames_processed == processed_before
-        assert session.health()["blinks"] == 0
-        stale = session.metrics.counter("session.op.dropped_stale").value
-        assert stale == len(backlog)
-
 
 class TestDrowsyAlerting:
     def _session(self, frames):
@@ -225,8 +211,8 @@ class TestDrowsyAlerting:
     def test_high_rate_raises_one_alert_per_window(self, fleet_trace):
         session = self._session(fleet_trace.frames)
         # 3 blinks in a 4 s window = 45/min, past the 30/min threshold.
-        for k, t in enumerate([4.0, 4.5, 5.0, 5.5, 6.0, 6.5]):
-            session._on_blink(t, frame_index=int(t * FRAME_RATE), prominence=1.0)
+        for t in [4.0, 4.5, 5.0, 5.5, 6.0, 6.5]:
+            session._emit(BlinkEvent("drz", t, int(t * FRAME_RATE), 1.0))
         alerts = [e for e in session.events if isinstance(e, DrowsyAlertEvent)]
         assert len(alerts) == 1  # refractory: one alert per window
         assert alerts[0].rate_bpm >= 30.0
@@ -235,7 +221,7 @@ class TestDrowsyAlerting:
     def test_no_alert_before_window_fills(self, fleet_trace):
         session = self._session(fleet_trace.frames)
         for t in [0.5, 1.0, 1.5, 2.0]:  # early burst, window not yet filled
-            session._on_blink(t, frame_index=int(t * FRAME_RATE), prominence=1.0)
+            session._emit(BlinkEvent("drz", t, int(t * FRAME_RATE), 1.0))
         assert not [e for e in session.events if isinstance(e, DrowsyAlertEvent)]
 
 
@@ -261,7 +247,7 @@ class TestLifetime:
         session = DetectorSession("free", n_bins=16, frame_rate_hz=FRAME_RATE)
         session.start()
         frame = np.ones(16, dtype=np.complex64)
-        session.process_batch([session.make_item(k / FRAME_RATE, frame) for k in range(60)])
+        session.process_batch([(frame, k / FRAME_RATE) for k in range(60)])
         session.close()
         refs = [weakref.ref(session), weakref.ref(session.detector)]
         del session

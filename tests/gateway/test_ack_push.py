@@ -112,7 +112,7 @@ class TestCompletionHook:
 
             scheduler.attach(session, on_complete=hook)
             for k, frame in enumerate(_frames(n)):
-                assert scheduler.submit("h0", session.make_item(k / _FPS, frame))
+                assert scheduler.submit("h0", (frame, k / _FPS))
             assert last.wait(_REPLY_TIMEOUT_S), "no hook call covered the last batch"
             # Fired before the claim is released (threaded) or before
             # the consumed count moves (sharded), the last batch's hook

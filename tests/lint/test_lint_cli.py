@@ -65,7 +65,7 @@ class TestSeededViolations:
         source = (repo_root / "src/repro/fleet/session.py").read_text()
         anchor = "        self._transition(SessionState.STOPPED)\n"
         assert source.count(anchor) == 1
-        seeded = source.replace(anchor, anchor + "        self._generation = 0\n")
+        seeded = source.replace(anchor, anchor + "        self._state = SessionState.INIT\n")
         target = tmp_path / "src/repro/fleet/session.py"
         target.parent.mkdir(parents=True)
         target.write_text(seeded)
@@ -74,7 +74,7 @@ class TestSeededViolations:
         out = capsys.readouterr().out
         assert exit_code == 1
         assert "guarded-by" in out
-        assert "_generation" in out
+        assert "_state" in out
 
     def test_unseeded_tree_passes(self, repo_root, tmp_path, capsys):
         # Control: the same files unmodified are clean.

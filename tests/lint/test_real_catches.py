@@ -47,14 +47,16 @@ def _findings(tmp_path: Path, rule: str) -> list[tuple[str, str]]:
 
 
 class TestGuardedByFleetRaces:
-    def test_unlocked_generation_read(self, repo_root, tmp_path):
-        # DetectorSession.generation read the lock-guarded counter bare.
+    def test_unlocked_state_read(self, repo_root, tmp_path):
+        # DetectorSession.generation once read its lock-guarded counter
+        # bare; the counter is gone, so the same bare read is seeded into
+        # DetectorSession.state, which reads the lock-guarded state.
         _seeded_tree(repo_root, tmp_path, {"fleet/session.py": [(
-            "        with self._lock:\n            return self._generation\n",
-            "        return self._generation\n",
+            "        with self._lock:\n            return self._state\n",
+            "        return self._state\n",
         )]})
         [(path, message)] = _findings(tmp_path, "guarded-by")
-        assert path == "repro/fleet/session.py" and "_generation" in message
+        assert path == "repro/fleet/session.py" and "_state" in message
 
     def test_unlocked_pumping_handoff(self, repo_root, tmp_path):
         # The scheduler's pump once raised its run flag outside the

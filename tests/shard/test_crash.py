@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.fleet.events import FrameDropEvent
+from repro.fleet.events import FrameDropEvent, StateChangeEvent
 from repro.fleet.session import DetectorSession
 from repro.shard.fleet import ShardedFleet
 from repro.shard.worker import _TICK_MAX
@@ -86,7 +86,7 @@ class _Stream:
 
     def submit(self, k: int) -> None:
         for sid, session in self.sessions.items():
-            item = session.make_item(k / _FPS, self.traces[sid][k])
+            item = (self.traces[sid][k], k / _FPS)
             if self.fleet.submit(sid, item):
                 self.accepted[sid] += 1
 
@@ -186,6 +186,21 @@ class TestCrashRecovery:
             assert _crash_lost(session) == 0
             assert session.frames_processed == rehomed.accepted[sid]
             assert session.frames_processed > rehomed.processed_before_kill[sid]
+
+    def test_rehomed_sessions_restart_cold(self, rehomed):
+        """A replacement worker builds fresh detectors: a re-homed
+        session that was RUNNING re-enters COLD_START at the re-home,
+        stamped at its newest processed frame, and its state log keeps
+        chaining through it."""
+        killed_at_s = (_N_FRAMES // 2 - 1) / _FPS
+        for sid in rehomed.victim_sids:
+            states = [
+                (e.time_s, e.old_state, e.new_state)
+                for e in rehomed.sessions[sid].events
+                if isinstance(e, StateChangeEvent)
+            ]
+            assert (killed_at_s, "running", "cold_start") in states
+            assert all(a[2] == b[1] for a, b in zip(states, states[1:])), states
 
     def test_fleet_loss_counter_matches_events(self, crashed):
         total = sum(_crash_lost(s) for s in crashed.sessions.values())

@@ -48,21 +48,21 @@ def ring():
 class TestSlotCodec:
     def test_roundtrip_preserves_route_and_payload(self, ring):
         frame = _frame()
-        assert ring.push(encode_slot(7, 3, 0.25, 12.5, frame))
+        assert ring.push(encode_slot(7, 0.25, 12.5, frame))
         [rf] = ring.peek(1)
         is_ring_frame = isinstance(rf, RingFrame)
-        route = (rf.session_index, rf.generation, rf.enqueued_at, rf.timestamp_s)
+        route = (rf.session_index, rf.enqueued_at, rf.timestamp_s)
         got = rf.frame.copy()
         del rf
         ring.advance(1)
         assert is_ring_frame
-        assert route == (7, 3, 0.25, 12.5)
+        assert route == (7, 0.25, 12.5)
         np.testing.assert_array_equal(got, frame)
         assert got.dtype == np.complex128
 
     def test_complex64_roundtrip(self, ring):
         frame = _frame(dtype=np.complex64)
-        assert ring.push(encode_slot(0, 1, 0.0, 0.0, frame))
+        assert ring.push(encode_slot(0, 0.0, 0.0, frame))
         [rf] = ring.peek(1)
         got = rf.frame.copy()
         del rf
@@ -71,7 +71,7 @@ class TestSlotCodec:
         np.testing.assert_array_equal(got, frame)
 
     def test_peek_is_zero_copy_view_into_shared_memory(self, ring):
-        assert ring.push(encode_slot(0, 1, 0.0, 0.0, _frame()))
+        assert ring.push(encode_slot(0, 0.0, 0.0, _frame()))
         [rf] = ring.peek(1)
         owns_data = rf.frame.flags["OWNDATA"]
         del rf
@@ -81,7 +81,7 @@ class TestSlotCodec:
 
     def test_oversized_frame_rejected(self, ring):
         with pytest.raises(ValueError):
-            ring.push(encode_slot(0, 1, 0.0, 0.0, _frame(n_bins=64)))
+            ring.push(encode_slot(0, 0.0, 0.0, _frame(n_bins=64)))
 
     def test_dtype_codes_cover_pipeline_dtypes(self):
         assert set(DTYPE_CODES) == {np.dtype("<c8"), np.dtype("<c16")}
@@ -91,7 +91,7 @@ class TestSlotCodec:
         # ">c8" shares its dtype name with "<c8": a code looked up by
         # name would ship big-endian bytes under the little-endian code.
         frame = _frame(dtype=dtype)
-        assert ring.push(encode_slot(0, 1, 0.0, 0.0, frame))
+        assert ring.push(encode_slot(0, 0.0, 0.0, frame))
         [rf] = ring.peek(1)
         got = rf.frame.copy()
         del rf
@@ -101,25 +101,25 @@ class TestSlotCodec:
 
     def test_non_complex_frame_refused(self):
         with pytest.raises(StoreFormatError, match="unsupported frame dtype"):
-            encode_slot(0, 1, 0.0, 0.0, np.zeros(8))
+            encode_slot(0, 0.0, 0.0, np.zeros(8))
 
 
 class TestBackpressure:
     def test_full_ring_drops_newest_and_counts(self, ring):
-        slot = encode_slot(0, 1, 0.0, 0.0, _frame())
+        slot = encode_slot(0, 0.0, 0.0, _frame())
         results = [ring.push(slot) for _ in range(7)]
         assert results == [True] * 4 + [False] * 3
         assert ring.drops == 3
         assert ring.size == 4
 
     def test_conservation_submitted_equals_published_plus_drops(self, ring):
-        slot = encode_slot(0, 1, 0.0, 0.0, _frame())
+        slot = encode_slot(0, 0.0, 0.0, _frame())
         submitted = 50
         published = sum(1 for _ in range(submitted) if ring.push(slot))
         assert published + ring.drops == submitted
 
     def test_advance_frees_slots_for_reuse(self, ring):
-        slot = encode_slot(0, 1, 0.0, 0.0, _frame())
+        slot = encode_slot(0, 0.0, 0.0, _frame())
         for _ in range(4):
             assert ring.push(slot)
         assert not ring.push(slot)
@@ -131,7 +131,7 @@ class TestBackpressure:
         assert not ring.push(slot)
 
     def test_peek_bounded_by_max_items(self, ring):
-        slot = encode_slot(0, 1, 0.0, 0.0, _frame())
+        slot = encode_slot(0, 0.0, 0.0, _frame())
         for _ in range(4):
             ring.push(slot)
         assert len(ring.peek(3)) == 3
@@ -139,7 +139,7 @@ class TestBackpressure:
 
 class TestIntegrity:
     def test_corrupted_payload_raises(self, ring):
-        assert ring.push(encode_slot(0, 1, 0.0, 0.0, _frame()))
+        assert ring.push(encode_slot(0, 0.0, 0.0, _frame()))
         # Flip one payload byte behind the ring's back: the slot's CRC
         # (the .rst chunk framing) must catch it on peek.
         from repro.shard import ring as ring_mod
@@ -151,7 +151,7 @@ class TestIntegrity:
 
     def test_cross_process_attach_sees_same_slots(self, ring):
         frame = _frame()
-        assert ring.push(encode_slot(5, 2, 1.0, 2.0, frame))
+        assert ring.push(encode_slot(5, 1.0, 2.0, frame))
         other = ShmRing.attach(ring.name)
         try:
             [rf] = other.peek(1)
@@ -198,7 +198,7 @@ from repro.shard.ring import ShmRing, encode_slot
 ring = ShmRing.attach(sys.argv[1])
 # The segment belongs to the test process; this one must not unlink it.
 resource_tracker.unregister("/" + sys.argv[1], "shared_memory")
-slot = encode_slot(0, 1, 0.0, 0.0, np.zeros(8, dtype=np.complex128))
+slot = encode_slot(0, 0.0, 0.0, np.zeros(8, dtype=np.complex128))
 while True:  # fills the ring, then bumps the drops word until killed
     ring.push(slot)
 """

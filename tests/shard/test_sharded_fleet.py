@@ -17,10 +17,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.fleet.events import StateChangeEvent
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.session import DetectorSession
+from repro.fleet.session import DetectorSession, SessionState
 from repro.shard.fleet import ShardedFleet
+from repro.shard.messages import ShardReport
 from repro.shard.worker import _TICK_MAX
 
 _N_BINS = 32
@@ -104,7 +106,7 @@ class TestReportCadence:
         fleet.attach(session, on_complete=on_complete)
         try:
             for k in range(n_frames):
-                assert fleet.submit("burst", session.make_item(k / _FPS, frames[k]))
+                assert fleet.submit("burst", (frames[k], k / _FPS))
             _wait_drained(fleet, "burst", completed)
         finally:
             fleet.detach("burst")
@@ -113,6 +115,31 @@ class TestReportCadence:
         assert len(seen) >= n_frames / _TICK_MAX
         steps = np.diff([0, *seen])
         assert steps.max() <= _TICK_MAX
+
+
+class TestStateReplay:
+    def test_worker_state_change_replays_through_the_mirror(self, fleet):
+        """A worker's cold_start → running is the detector's own cycle:
+        it moves a COLD_START parent to RUNNING, and leaves a DEGRADED
+        parent DEGRADED, a state only the session's owner leaves."""
+        cold, degraded = _session("mirror_cold"), _session("mirror_degraded")
+        degraded._transition(SessionState.DEGRADED)
+        for session in (cold, degraded):
+            fleet.attach(session)
+        try:
+            report = ShardReport(
+                events=[
+                    StateChangeEvent(session.session_id, 1.0, "cold_start", "running")
+                    for session in (cold, degraded)
+                ]
+            )
+            fleet._apply_report(fleet._pool[0], report)
+            assert cold.state is SessionState.RUNNING
+            assert degraded.state is SessionState.DEGRADED
+        finally:
+            for session in (cold, degraded):
+                fleet.detach(session.session_id)
+                session.close()
 
 
 class TestBitIdentity:
@@ -137,7 +164,7 @@ class TestBitIdentity:
             scheduler.attach(session, on_complete=completed.set)
             for k in range(len(frames)):
                 assert scheduler.submit(
-                    "golden", session.make_item(k / trace.frame_rate_hz, frames[k])
+                    "golden", (frames[k], k / trace.frame_rate_hz)
                 )
             _wait_drained(scheduler, "golden", completed)
             scheduler.detach("golden")
@@ -153,7 +180,7 @@ class TestBitIdentity:
             fleet.attach(session, on_complete=completed.set)
             for k in range(len(frames)):
                 assert fleet.submit(
-                    "golden", session.make_item(k / trace.frame_rate_hz, frames[k])
+                    "golden", (frames[k], k / trace.frame_rate_hz)
                 )
             _wait_drained(fleet, "golden", completed)
             fleet.detach("golden")

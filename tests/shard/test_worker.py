@@ -12,6 +12,7 @@ import weakref
 
 import numpy as np
 
+from repro.fleet.events import BlinkEvent, DrowsyAlertEvent
 from repro.fleet.session import SessionConfig
 from repro.shard.messages import AttachMsg, ShardReport
 from repro.shard.ring import ShmRing, encode_slot, slot_bytes_for
@@ -60,7 +61,7 @@ def test_frames_queued_behind_an_unread_attach_are_routed():
             )
         )
         for k in range(5):
-            assert ring.push(encode_slot(3, 1, 0.0, k / 25.0, frame))
+            assert ring.push(encode_slot(3, 0.0, k / 25.0, frame))
 
     try:
         consumed = _tick(_ParentActsBeforeSnapshot(ring, attach_then_push), child, state)
@@ -91,7 +92,7 @@ def _attach_msg(index: int, sid: str) -> AttachMsg:
 def _push(ring: ShmRing, index: int, n_frames: int, rng: np.random.Generator) -> None:
     for k in range(n_frames):
         frame = (rng.standard_normal(_N_BINS) + 1j).astype(np.complex64)
-        assert ring.push(encode_slot(index, 1, 0.0, k / 25.0, frame))
+        assert ring.push(encode_slot(index, 0.0, k / 25.0, frame))
 
 
 def test_detach_frees_the_session_and_its_detector(refcount_only):
@@ -118,7 +119,6 @@ def test_detach_frees_the_session_and_its_detector(refcount_only):
 
         assert [ref() for ref in refs] == [None, None]
         assert report.consumed == {"gone": per_session, "kept": per_session}
-        assert "gone" in report.states
         assert list(state.by_id) == ["kept"]
         assert list(state.by_index) == [2]
         assert state.consumed == {"kept": per_session}
@@ -127,6 +127,34 @@ def test_detach_frees_the_session_and_its_detector(refcount_only):
         child.close()
         ring.close()
         ring.unlink()
+
+
+def test_a_worker_session_ships_blinks_and_never_a_drowsy_alert(drowsy_trace):
+    """Drowsy alerts are raised where blinks are counted: on the parent's
+    session, whose blink-rate window outlives any worker. A worker-side
+    session ships its blinks, and no alert even past a threshold that
+    every blink after the first window crosses."""
+    parent, child = multiprocessing.Pipe()
+    ring = ShmRing.create(_TICK_MAX, slot_bytes_for(drowsy_trace.n_bins))
+    state = _WorkerState()
+    fps = drowsy_trace.frame_rate_hz
+    frames = drowsy_trace.frames[:500]
+    eager = SessionConfig(drowsy_rate_threshold_bpm=1.0, drowsy_window_s=4.0)
+    shipped = []
+    try:
+        state.attach(AttachMsg(1, "drz", drowsy_trace.n_bins, fps, eager))
+        for start in range(0, len(frames), _TICK_MAX):
+            for k in range(start, min(start + _TICK_MAX, len(frames))):
+                assert ring.push(encode_slot(1, 0.0, k / fps, frames[k]))
+            assert _tick(ring, child, state) > 0
+            shipped += state.report().events
+    finally:
+        parent.close()
+        child.close()
+        ring.close()
+        ring.unlink()
+    assert any(isinstance(e, BlinkEvent) and e.time_s >= 4.0 for e in shipped)
+    assert not [e for e in shipped if isinstance(e, DrowsyAlertEvent)]
 
 
 class _RecordingConn:

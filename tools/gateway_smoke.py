@@ -12,7 +12,7 @@ gates on:
    line by line (``# HELP``/``# TYPE`` comments plus ``name{labels}
    value`` samples), the gateway's frame counter agrees exactly with
    what the clients sent, and every received frame is accounted once:
-   received = processed + queue, stale and crash drops + unrouted.
+   received = processed + queue and crash drops + unrouted.
    Every vehicle has said BYE by the scrape, so no per-session series
    may remain. The server's own memory (``repro_process_rss_bytes``,
    ``repro_process_peak_rss_bytes``) must agree with this process's
@@ -67,7 +67,6 @@ _MEMORY_SERIES = {"repro_process_rss_bytes": "VmRSS", "repro_process_peak_rss_by
 _FRAME_OUTCOMES = (
     "repro_fleet_frames_processed_total",
     "repro_fleet_dropped_queue_total",
-    "repro_fleet_dropped_stale_total",
     "repro_fleet_dropped_crash_total",
     "repro_shard_unrouted_frames_total",
 )

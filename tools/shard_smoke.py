@@ -107,7 +107,7 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
                 print(f"SIGKILL shard {victim} (pid {pid}) homing {victim_sids}")
                 os.kill(pid, signal.SIGKILL)
             for sid, session in sessions.items():
-                if fleet.submit(sid, session.make_item(k / fps, traces[sid][k])):
+                if fleet.submit(sid, (traces[sid][k], k / fps)):
                     accepted[sid] += 1
         deadline = time.monotonic() + _DRAIN_TIMEOUT_S
         while not fleet.idle():
@@ -189,7 +189,7 @@ def run_churn_phase(args: argparse.Namespace) -> list[str]:
             completed = threading.Event()
             fleet.attach(session, on_complete=completed.set)
             shed = sum(
-                not fleet.submit(sid, session.make_item(i / fps, frames[i]))
+                not fleet.submit(sid, (frames[i], i / fps))
                 for i in range(_CHURN_FRAMES)
             )
             if shed:
