@@ -17,9 +17,12 @@ classic *guarded-by* analysis at the AST level:
    lock), or carry an explicit ``# reprolint: unguarded-ok`` pragma.
 
 ``__init__``/``__post_init__`` are exempt: construction happens before
-the object is shared. The analysis is intentionally syntactic — it
-checks the *convention*, catching the accidental unguarded access that
-code review misses, not aliasing through local variables.
+the object is shared. A class also inherits the locks and the
+constructor declarations of its base classes defined in the same file,
+so a subclass method that touches its base's guarded state is checked
+too. The analysis is intentionally syntactic — it checks the
+*convention*, catching the accidental unguarded access that code review
+misses, not aliasing through local variables.
 """
 
 from __future__ import annotations
@@ -75,6 +78,19 @@ def _self_attr(node: ast.expr) -> str | None:
     return None
 
 
+def _same_file_bases(cls: ast.ClassDef, classes: dict[str, ast.ClassDef]) -> list[ast.ClassDef]:
+    """Every ancestor of ``cls`` that is a class defined in the same file."""
+    found: list[ast.ClassDef] = []
+    pending = [cls]
+    while pending:
+        for base in pending.pop().bases:
+            defined = classes.get(base.id) if isinstance(base, ast.Name) else None
+            if defined is not None and defined is not cls and defined not in found:
+                found.append(defined)
+                pending.append(defined)
+    return found
+
+
 def _find_locks(cls: ast.ClassDef) -> set[str]:
     locks: set[str] = set()
     for node in ast.walk(cls):
@@ -100,14 +116,25 @@ class GuardedByRule(LintRule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        for cls in _iter_classes(ctx.tree):
-            yield from self._check_class(ctx, cls)
+        classes = {cls.name: cls for cls in _iter_classes(ctx.tree)}
+        for cls in classes.values():
+            yield from self._check_class(ctx, cls, _same_file_bases(cls, classes))
 
     # ------------------------------------------------------------- collection
-    def _check_class(self, ctx: FileContext, cls: ast.ClassDef) -> Iterable[Diagnostic]:
+    def _check_class(
+        self, ctx: FileContext, cls: ast.ClassDef, bases: list[ast.ClassDef]
+    ) -> Iterable[Diagnostic]:
         facts = _ClassFacts(locks=_find_locks(cls))
+        for base in bases:
+            facts.locks |= _find_locks(base)
         if not facts.locks:
             return
+        for base in bases:
+            for stmt in base.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    stmt.name in _CONSTRUCTORS
+                ):
+                    self._collect_declarations(ctx, facts, stmt)
         for stmt in cls.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._collect_method(ctx, facts, stmt)

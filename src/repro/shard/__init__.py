@@ -5,15 +5,18 @@ once the stateful per-session walks saturate the GIL: past ~4 sessions,
 adding workers adds contention, not throughput. This package moves the
 detector side into worker *processes*, each owning a shard of sessions:
 
-- Frames travel parent → worker over a fixed-slot SPSC shared-memory
-  ring (:class:`~repro.shard.ring.ShmRing`); each slot carries one frame
-  framed exactly like a one-frame ``.rst`` CHUNK block (24-byte header,
-  CRC-32 over header and payload), so payloads are checksummed and the
-  worker consumes them zero-copy straight out of shared memory.
+- Frames travel parent → worker over an SPSC shared-memory ring of
+  packed records (:class:`~repro.shard.ring.ShmRing`); each record
+  carries one frame at its own size, framed exactly like a one-frame
+  ``.rst`` CHUNK block (24-byte header, CRC-32 over header and
+  payload), so payloads are checksummed and the worker consumes them
+  zero-copy straight out of shared memory. The producer rewinds to the
+  start of the ring whenever it drains, so a ring's memory follows its
+  deepest backlog, not its capacity.
 - A small pickle-over-pipe control plane (:mod:`repro.shard.messages`)
   handles attach/detach/drain/stop, ships each tick's session events
   and batches back for the parent to count (a tick is at most 64 ring
-  slots, so results and ACKs flow every 64 frames or sooner, also
+  records, so results and ACKs flow every 64 frames or sooner, also
   while a detach drains a backlog), and heartbeats each shard.
 - Each worker drains its ring into one fused stage-1 kernel launch per
   tick (the cross-session row-matrix batching of

@@ -29,12 +29,12 @@ Accounting invariants:
   ``consumed >= accepted``, and reports ship *after* processing, so a
   drained session's results are already visible parent-side.
 - A SIGKILLed worker costs only the frames it took off its ring but
-  never reported: at most one tick (``_TICK_MAX`` = 64 slots, shared by
+  never reported: at most one tick (``_TICK_MAX`` = 64 frames, shared by
   the shard's sessions). A worker reports after every tick, the drain
   ticks of a detach included, so the bound holds mid-detach too. The
   supervisor reads every report left in the dead worker's pipe, spawns
   a replacement shard, re-homes the dead shard's sessions onto it, and
-  moves the dead ring's unconsumed slots onto the replacement's ring —
+  moves the dead ring's unconsumed records onto the replacement's ring —
   the parent owns both segments, so frames accepted after the kill are
   not lost either. It charges the rest to the sessions as
   ``FrameDropEvent(where="crash")`` and fails any parent call waiting
@@ -59,8 +59,11 @@ Accounting invariants:
   RUNNING cycle, so INIT, DEGRADED and STOPPED stay the parent's own.
 - Each report carries its worker's resident set, exported as the gauge
   ``shard.<i>.rss_bytes`` (``repro_shard_rss_bytes{shard="<i>"}`` on
-  ``/metrics``). A shard's series leaves the registry when the shard
-  does: when it is replaced after a crash, or at :meth:`ShardedFleet.stop`.
+  ``/metrics``). Applying it also sets ``shard.<i>.ring_bytes``
+  (``repro_shard_ring_bytes``) to the ring's high-water mark, which the
+  parent knows as its producer: the ring's allocated memory, within a
+  page. A shard's series leave the registry when the shard does: when
+  it is replaced after a crash, or at :meth:`ShardedFleet.stop`.
 """
 
 from __future__ import annotations
@@ -115,16 +118,16 @@ class ShardedFleet:
     workers:
         Shard *processes* (each also drains its ring on its own core).
     queue_depth:
-        Ring slots per shard — the same backpressure threshold role the
-        per-session queue bound plays in the threaded scheduler, and the
-        same policy (the arriving frame is refused), but shared by the
-        shard's sessions.
+        Frames in flight per shard ring — the same backpressure threshold
+        role the per-session queue bound plays in the threaded scheduler,
+        and the same policy (the arriving frame is refused), but shared
+        by the shard's sessions.
     metrics:
         Parent-side registry (queue gauges, shard crashes, unrouted
         frames). Session counters land on each session's own registry,
         normally this one, replayed from what the workers ship.
     slot_bins:
-        Largest frame (fast-time bins) a ring slot must carry. Sessions
+        Largest frame (fast-time bins) a ring record must carry. Sessions
         declaring more bins than this are rejected at attach.
     """
 
@@ -253,7 +256,7 @@ class ShardedFleet:
         if session.n_bins > self.slot_bins:
             raise ValueError(
                 f"session {session.session_id!r} declares {session.n_bins} bins; "
-                f"ring slots carry at most {self.slot_bins}"
+                f"ring records carry at most {self.slot_bins}"
             )
         with self._cond:
             if not self._started:
@@ -292,7 +295,7 @@ class ShardedFleet:
         detection state, and ships a final report before the ack — so
         after ``detach`` returns, every event the session ever produced
         is applied parent-side. Returns 0 on the clean path; non-zero
-        only when the shard died mid-detach (its in-flight slots).
+        only when the shard died mid-detach (its in-flight frames).
         """
         with self._cond:
             worker = self._assign.pop(session_id, None)
@@ -318,7 +321,7 @@ class ShardedFleet:
     def submit(self, session_id: str, item: FrameItem) -> bool:
         """Non-blocking ingest of one produced frame item.
 
-        Encodes the frame into a checksummed ring slot and publishes it
+        Encodes the frame into a checksummed ring record and publishes it
         to the session's shard. True when accepted; False when the ring
         was full and the frame was refused (accounted by
         :func:`~repro.fleet.backend.account_queue`, as the threaded
@@ -330,10 +333,10 @@ class ShardedFleet:
             if worker is None:
                 raise KeyError(f"unknown session id {session_id!r}")
             index = self._index_of[session_id]
-            slot = encode_slot(
+            record = encode_slot(
                 index, time.perf_counter(), timestamp_s, np.ascontiguousarray(frame)
             )
-            accepted = worker.ring.push(slot)
+            accepted = worker.ring.push(record)
             if accepted:
                 self._accepted[session_id] += 1
             account_queue(
@@ -440,8 +443,10 @@ class ShardedFleet:
         """
         if report.unrouted:
             self.metrics.counter("shard.unrouted_frames").inc(report.unrouted)
+        shard = worker.shard_index
         if report.rss_bytes:
-            self.metrics.gauge(f"shard.{worker.shard_index}.rss_bytes").set(report.rss_bytes)
+            self.metrics.gauge(f"shard.{shard}.rss_bytes").set(report.rss_bytes)
+        self.metrics.gauge(f"shard.{shard}.ring_bytes").set(worker.ring.high_water)
         with self._cond:
             sessions = dict(self._sessions)
         for sid, n_frames, latencies, time_s in report.batches:
@@ -550,9 +555,9 @@ class ShardedFleet:
             # segment): carry it over instead of charging it to the crash.
             sid_of = {self._index_of[sid]: sid for sid in homed}
             carried: dict[str, int] = {}
-            for index, slot in worker.ring.unconsumed():
+            for index, record in worker.ring.unconsumed():
                 sid = sid_of.get(index)
-                if sid is not None and replacement.ring.push(slot):
+                if sid is not None and replacement.ring.push(record):
                     carried[sid] = carried.get(sid, 0) + 1
             self._settle(homed, carried)
             self._pool = [replacement if w is worker else w for w in self._pool]

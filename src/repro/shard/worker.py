@@ -2,7 +2,7 @@
 
 The worker process owns a shard of sessions. Its loop is a tick:
 
-1. Snapshot up to a tick's worth of ring slots (``_TICK_MAX``), *then*
+1. Snapshot up to a tick's worth of ring records (``_TICK_MAX``), *then*
    drain the control pipe. The parent sends a session's
    :class:`AttachMsg` before it pushes any of that session's frames, so
    every frame in the snapshot has its attach already in the pipe, and
@@ -65,7 +65,7 @@ from repro.shard.ring import RingFrame, ShmRing
 
 __all__ = ["ShardWorker", "mp_context", "shard_worker_main"]
 
-#: Ring slots drained per tick. A report ships after every tick, so
+#: Ring records drained per tick. A report ships after every tick, so
 #: this bounds how long a finished frame's result (and its gateway ACK)
 #: waits behind the frames drained with it, the frames a SIGKILL can
 #: cost, the per-tick scratch (stacked raw block, denoised block,
@@ -209,7 +209,7 @@ def _rss_bytes() -> int:
 
 
 def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:
-    """One pass of the worker loop; returns the ring slots consumed.
+    """One pass of the worker loop; returns the ring records consumed.
 
     The ring snapshot is taken before the control pipe is read (see the
     module docstring): attaches apply at once, so every frame in the
@@ -243,7 +243,7 @@ def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:
         )
         state.consumed[session.session_id] += len(rfs)
     consumed = len(ring_frames)
-    # Drop every shared-memory view before freeing the slots.
+    # Drop every shared-memory view before freeing their records.
     del ring_frames, groups, denoised_of
     ring.advance(consumed)
     return consumed

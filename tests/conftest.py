@@ -10,8 +10,10 @@ Every test also runs under always-on checks (docs/static_analysis.md,
   a blocking primitive on its loop's own thread fails the test;
 - leak checks: a thread the test started and left running, or a
   ``repro-ring-*`` shared-memory segment it left behind, fails the test.
-  An unclosed file fails it through the ResourceWarning filter in
-  pyproject.toml.
+  A segment is the test's when the pid in its name (the creator's) is
+  the test process or a subprocess the test launched, so a sharded
+  fleet running beside the tests fails none of them. An unclosed file
+  fails a test through the ResourceWarning filter in pyproject.toml.
 """
 
 from __future__ import annotations
@@ -101,12 +103,34 @@ for _owner, _names in (
 THREAD_JOIN_TIMEOUT_S = 5.0
 SHM_DIR = Path("/dev/shm")
 
+#: Pids of the subprocesses the running test launched (reset per test).
+launched_pids: set[int] = set()
+
+
+def _recording_pid(init: Callable[..., None]) -> Callable[..., None]:
+    @functools.wraps(init)
+    def record(self: subprocess.Popen, *args: Any, **kwargs: Any) -> None:
+        init(self, *args, **kwargs)
+        launched_pids.add(self.pid)
+
+    return record
+
+
+subprocess.Popen.__init__ = _recording_pid(subprocess.Popen.__init__)
+
 
 def ring_segments() -> set[str]:
-    """``repro-ring-*`` shared-memory segments (none where no /dev/shm)."""
+    """``repro-ring-<creator pid>-*`` shared-memory segments created by
+    this process or a subprocess the test launched (none where no
+    /dev/shm)."""
     if not SHM_DIR.is_dir():
         return set()
-    return {path.name for path in SHM_DIR.glob("repro-ring-*")}
+    own = {str(os.getpid()), *map(str, launched_pids)}
+    return {
+        path.name
+        for path in SHM_DIR.glob("repro-ring-*")
+        if path.name.split("-")[2] in own
+    }
 
 
 def leftovers(
@@ -128,6 +152,7 @@ def leftovers(
 @pytest.fixture(autouse=True)
 def _runtime_checks():
     """Fail the test on a loop-blocking call, a leaked thread or segment."""
+    launched_pids.clear()
     threads, rings = set(threading.enumerate()), ring_segments()
     yield
     problems = leftovers(threads, rings)

@@ -76,6 +76,27 @@ class TestSeededViolations:
         assert "guarded-by" in out
         assert "_state" in out
 
+    def test_unguarded_write_in_a_subclass_fails_the_gate(self, repo_root, tmp_path, capsys):
+        # The same write from EmulatedSession, a subclass in the same
+        # file: the rule merges in the base class's locks and
+        # constructor declarations.
+        source = (repo_root / "src/repro/fleet/session.py").read_text()
+        anchor = (
+            '        """Ask for an operator restart (due on the next produce)."""\n'
+            "        self._restart_requested = True\n"
+        )
+        assert source.count(anchor) == 1
+        seeded = source.replace(anchor, anchor + "        self._state = SessionState.INIT\n")
+        target = tmp_path / "src/repro/fleet/session.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(seeded)
+
+        exit_code = repro_main(["lint", str(tmp_path / "src")])
+        out = capsys.readouterr().out
+        assert exit_code == 1
+        assert "guarded-by" in out
+        assert "_state" in out and "request_restart()" in out
+
     def test_unseeded_tree_passes(self, repo_root, tmp_path, capsys):
         # Control: the same files unmodified are clean.
         for rel in ("src/repro/sim/simulator.py", "src/repro/fleet/session.py"):

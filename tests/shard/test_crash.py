@@ -225,6 +225,17 @@ class TestCrashRecovery:
             assert gauge.value > 0
             assert f'repro_shard_rss_bytes{{shard="{shard}"}}' in text
 
+    def test_ring_gauge_is_each_live_ring_high_water_mark(self, crashed):
+        # Every live ring was last pushed to before its shard's last
+        # report, which set the gauge; the dead ring's series left.
+        text = crashed.fleet.metrics.render_prometheus()
+        assert f'repro_shard_ring_bytes{{shard="{crashed.victim}"}}' not in text
+        with crashed.fleet._cond:
+            high_water = {w.shard_index: w.ring.high_water for w in crashed.fleet._pool}
+        for shard, written in high_water.items():
+            assert crashed.fleet.metrics.gauge(f"shard.{shard}.ring_bytes").value == written
+            assert f'repro_shard_ring_bytes{{shard="{shard}"}} {written}' in text.splitlines()
+
 
 def test_settled_crash_loss_reaches_health_and_metrics():
     """A crash settlement charges the session through its own ``_emit``.

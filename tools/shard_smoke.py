@@ -23,8 +23,11 @@ Three phases, all run for real (worker processes, shared-memory rings):
    last, so a worker's memory follows the sessions it serves now, not
    every session it has served. The fleet's own ``/metrics`` export
    must carry the worker's ``repro_shard_rss_bytes{shard="0"}`` series
-   and agree with ``VmRSS`` within a few MB. Linux only (it reads
-   ``/proc``).
+   and agree with ``VmRSS`` within a few MB. The shard's ring must
+   follow its backlog too: after the last session its segment may have
+   allocated at most one session's burst of records plus a page, and
+   ``repro_shard_ring_bytes{shard="0"}`` must match that allocation
+   within a page. Linux only (it reads ``/proc`` and ``/dev/shm``).
 
 Exit status 0 on success, 1 with a diagnostic on any failure::
 
@@ -34,6 +37,7 @@ Exit status 0 on success, 1 with a diagnostic on any failure::
 from __future__ import annotations
 
 import argparse
+import mmap
 import os
 import signal
 import sys
@@ -49,6 +53,7 @@ import numpy as np  # noqa: E402
 from repro.fleet.events import FrameDropEvent  # noqa: E402
 from repro.fleet.session import DetectorSession  # noqa: E402
 from repro.shard.fleet import ShardedFleet  # noqa: E402
+from repro.shard.ring import encode_slot  # noqa: E402
 from repro.shard.worker import _TICK_MAX  # noqa: E402
 
 import gateway_smoke  # noqa: E402
@@ -157,14 +162,33 @@ def vm_rss_mb(pid: int) -> float:
     return status["VmRSS"] / 2**20
 
 
-def rss_gauge_mb(fleet: ShardedFleet, shard: int) -> float | None:
-    """A shard's ``repro_shard_rss_bytes`` series on the fleet's
-    ``/metrics`` text, in MB; None when the series is missing."""
-    prefix = f'repro_shard_rss_bytes{{shard="{shard}"}} '
+def shard_gauge(fleet: ShardedFleet, family: str, shard: int) -> float | None:
+    """A shard's ``repro_shard_<family>`` series on the fleet's
+    ``/metrics`` text; None when the series is missing."""
+    prefix = f'repro_shard_{family}{{shard="{shard}"}} '
     for line in fleet.metrics.render_prometheus().splitlines():
         if line.startswith(prefix):
-            return float(line[len(prefix) :]) / 2**20
+            return float(line[len(prefix) :])
     return None
+
+
+def tmpfs_huge_pages() -> bool:
+    """True when tmpfs may back a segment with huge pages, which
+    allocate 2 MiB at a time and hide what a ring touches."""
+    try:
+        text = Path("/sys/kernel/mm/transparent_hugepage/shmem_enabled").read_text()
+    except OSError:
+        return False
+    return "[never]" not in text and "[deny]" not in text
+
+
+def ring_allocated_bytes() -> int | None:
+    """Allocated bytes of the one ring segment this process created
+    (``st_blocks``), or None when there is not exactly one."""
+    segments = list(Path("/dev/shm").glob(f"repro-ring-{os.getpid()}-*"))
+    if len(segments) != 1:
+        return None
+    return segments[0].stat().st_blocks * 512
 
 
 def run_churn_phase(args: argparse.Namespace) -> list[str]:
@@ -206,10 +230,15 @@ def run_churn_phase(args: argparse.Namespace) -> list[str]:
             session.close()
             if k in (_CHURN_WARM, _CHURN_SESSIONS):
                 rss_mb[k] = vm_rss_mb(fleet.shard_pid(0))
-        gauge_mb = rss_gauge_mb(fleet, 0)
+        rss_gauge = shard_gauge(fleet, "rss_bytes", 0)
+        gauge_mb = None if rss_gauge is None else rss_gauge / 2**20
+        ring_gauge = shard_gauge(fleet, "ring_bytes", 0)
+        ring_allocated = ring_allocated_bytes()
         crashes = int(fleet.metrics.counter("fleet.shard_crashes").value)
     finally:
         fleet.stop()
+    record_bytes = len(encode_slot(0, 0.0, 0.0, frames[0]))
+    failures += check_ring_memory(record_bytes, ring_gauge, ring_allocated)
     if gauge_mb is None:
         failures.append('/metrics carries no repro_shard_rss_bytes{shard="0"} series')
     else:
@@ -238,6 +267,41 @@ def run_churn_phase(args: argparse.Namespace) -> list[str]:
             f"worker VmRSS grew {growth:.1f} MB over {_CHURN_SESSIONS - _CHURN_WARM} "
             f"finished sessions (bound {_CHURN_BOUND_MB:g} MB): detached sessions "
             "are not freed"
+        )
+    return failures
+
+
+def check_ring_memory(
+    record_bytes: int, gauge: float | None, allocated: int | None
+) -> list[str]:
+    """The churn ring allocated at most one burst of records plus a page,
+    and its exported high-water mark agrees with the allocation."""
+    if tmpfs_huge_pages():
+        print("churn phase: ring memory check skipped: tmpfs huge pages are on")
+        return []
+    if allocated is None:
+        return ["churn phase: no single ring segment of this process in /dev/shm"]
+    page = mmap.PAGESIZE
+    bound = _CHURN_FRAMES * record_bytes + page
+    shown = "missing" if gauge is None else f"{gauge / 1024:.0f} KiB"
+    print(
+        f"churn phase: ring segment allocated {allocated / 1024:.0f} KiB, "
+        f"/metrics ring gauge {shown} (bound: one burst of {_CHURN_FRAMES} x "
+        f"{record_bytes} B records plus a page = {bound / 1024:.0f} KiB)"
+    )
+    failures = []
+    if allocated > bound:
+        failures.append(
+            f"ring segment allocated {allocated} B after {_CHURN_SESSIONS} sessions, "
+            f"more than one burst plus a page ({bound} B): the ring does not "
+            "follow its backlog"
+        )
+    if gauge is None:
+        failures.append('/metrics carries no repro_shard_ring_bytes{shard="0"} series')
+    elif not 0 <= allocated - gauge < page:
+        failures.append(
+            f"ring gauge {gauge:.0f} B disagrees with the segment's allocated "
+            f"{allocated} B by a page or more"
         )
     return failures
 
