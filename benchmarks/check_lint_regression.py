@@ -34,12 +34,12 @@ HERE = Path(__file__).parent
 
 
 def warm_full_s(bench: dict, path: Path) -> float:
-    """Wall time of the warm full-rule run (``mode == "parallel warm"``)."""
+    """Wall time of the warm full-rule run (``mode == "warm"``)."""
     try:
-        [warm] = [r for r in bench["results"] if r["mode"] == "parallel warm"]
+        [warm] = [r for r in bench["results"] if r["mode"] == "warm"]
         return float(warm["wall_s"])
     except (KeyError, TypeError, ValueError):
-        raise SystemExit(f"{path}: no 'parallel warm' entry in results")
+        raise SystemExit(f"{path}: no 'warm' entry in results")
 
 
 def main(argv: list[str]) -> int:

@@ -2,10 +2,10 @@
 
 Not a paper figure: this benchmark sizes the lint gate itself. Every
 rule is per-file, and the content-hash cache exists so the pre-commit /
-warm-CI case re-analyses nothing. We time the full rule set — serial
-cold, parallel cold, parallel warm (``--cache``, second run) — and
-record everything, with the host's core count, in ``BENCH_lint.json``
-so the perf trajectory survives across PRs.
+warm-CI case re-analyses nothing. We time the full rule set — cold, and
+warm (``--cache``, second run) — and record both, with the host's core
+count, in ``BENCH_lint.json`` so the perf trajectory survives across
+PRs.
 
 Assertions are shape, not absolute wall time (CI hosts vary): the tree
 must stay clean, the warm run must hit the cache for every file and
@@ -31,18 +31,18 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = Path(__file__).parent / "BENCH_lint.json"
 LINT_PATHS = [REPO_ROOT / "src", REPO_ROOT / "tests"]
 
-#: Generous ceiling for a cold parallel full-tree run. A typical dev
-#: host does this in well under a second; tripping 30 s means the
-#: engine went accidentally quadratic, not that the host is slow.
+#: Generous ceiling for a cold full-tree run. A typical dev host does
+#: this in a few seconds; tripping 30 s means the engine went
+#: accidentally quadratic, not that the host is slow.
 COLD_BUDGET_S = 30.0
 
 
-def timed_lint(jobs, cache=None, repeat=1):
+def timed_lint(cache=None, repeat=1):
     best = None
     result = None
     for _ in range(repeat):
         start = time.perf_counter()
-        result = lint_paths(LINT_PATHS, jobs=jobs, root=REPO_ROOT, cache=cache)
+        result = lint_paths(LINT_PATHS, root=REPO_ROOT, cache=cache)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return result, best
@@ -52,18 +52,16 @@ def timed_lint(jobs, cache=None, repeat=1):
 def test_lint_speed(tmp_path):
     n_files = len(discover_files(LINT_PATHS))
 
-    serial, serial_s = timed_lint(jobs=1)
-    parallel, parallel_s = timed_lint(jobs=None)
+    cold, cold_s = timed_lint()
 
     cache_dir = tmp_path / "cache"
-    timed_lint(jobs=None, cache=ResultCache(cache_dir))  # populate
+    timed_lint(cache=ResultCache(cache_dir))  # populate
     warm_cache = ResultCache(cache_dir)
-    warm, warm_s = timed_lint(jobs=None, cache=warm_cache, repeat=3)
+    warm, warm_s = timed_lint(cache=warm_cache, repeat=3)
 
     results = [
-        {"mode": "serial cold", "wall_s": serial_s, "files": serial.files},
-        {"mode": "parallel cold", "wall_s": parallel_s, "files": parallel.files},
-        {"mode": "parallel warm", "wall_s": warm_s, "files": warm.files},
+        {"mode": "cold", "wall_s": cold_s, "files": cold.files},
+        {"mode": "warm", "wall_s": warm_s, "files": warm.files},
     ]
     rows = [
         [r["mode"], r["files"], f"{r['wall_s'] * 1e3:.0f}", f"{r['files'] / r['wall_s']:.0f}"]
@@ -91,10 +89,10 @@ def test_lint_speed(tmp_path):
 
     # The benchmark doubles as a whole-tree gate: every rule runs here
     # with no baseline, so the tree itself must be clean.
-    for result in (serial, parallel, warm):
+    for result in (cold, warm):
         assert result.diagnostics == []
         assert result.files == n_files
     # The warm run must answer every file from the cache and win.
     assert (warm_cache.hits, warm_cache.misses) == (n_files * 3, 0)
-    assert warm_s < parallel_s
-    assert parallel_s < COLD_BUDGET_S
+    assert warm_s < cold_s
+    assert cold_s < COLD_BUDGET_S

@@ -145,10 +145,6 @@ class SortedWindow:
         self._sorted.clear()
         self._nan_count = 0
 
-    def to_array(self) -> np.ndarray:
-        """The window in chronological order as a float array."""
-        return np.array(self._fifo, dtype=float)
-
     def median(self) -> float:
         """``np.median`` of the window, from the sorted list."""
         n = len(self._fifo)

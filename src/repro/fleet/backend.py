@@ -26,7 +26,8 @@ Contract, for either backend:
 - ``drained(session_id)`` is True once every accepted frame of the
   session has left the pipeline; ``idle()`` is the same for every
   session. ``detach(session_id)`` unregisters a session and returns the
-  number of accepted frames it lost (0 after ``drained()``).
+  number of accepted frames it lost (0 after ``drained()``; see
+  :meth:`ServeBackend.detach`).
 - Once ``detach`` returns, the backend holds no reference to the
   session, so the caller's last reference frees it, detector included,
   by reference counting; only a completion-hook call already under way
@@ -80,7 +81,17 @@ class ServeBackend(Protocol):
         self, session: DetectorSession, on_complete: Callable[[], None] | None = None
     ) -> None: ...
 
-    def detach(self, session_id: str) -> int: ...
+    def detach(self, session_id: str) -> int:
+        """Unregister a session; returns the accepted frames it lost uncounted.
+
+        Threaded: the frames still queued, which it discards. Sharded:
+        always 0. The shard drains and flushes the session first; a
+        shard that dies mid-detach re-homes it like any other session
+        and its replacement answers, and a session the respawn backstop
+        left without a shard is let go at once. Either way every frame a
+        crash cost is already counted as ``dropped_crash``.
+        """
+        ...
 
     def submit(self, session_id: str, item: FrameItem) -> bool: ...
 

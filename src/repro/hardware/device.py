@@ -89,11 +89,6 @@ class UwbRadarDevice:
         return self._n_bins
 
     @property
-    def frames_produced(self) -> int:
-        """Frames the sampler has produced since the last reset (unwrapped)."""
-        return self._frame_counter
-
-    @property
     def running(self) -> bool:
         """True when TRX_CTRL bit 0 is set."""
         return bool(self.registers.read_name("TRX_CTRL") & 0x01)

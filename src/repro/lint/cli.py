@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.lint.engine import default_jobs, discover_files, lint_paths
+from repro.lint.engine import discover_files, lint_paths
 from repro.lint.reporters import (
     EXIT_ERROR,
     render_json,
@@ -72,13 +72,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
         help=f"cache location when --cache is on (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"parallel analysis threads (default: {default_jobs()})",
     )
     parser.add_argument(
         "--baseline",
@@ -173,8 +166,6 @@ def run_lint(args: argparse.Namespace) -> int:
         for rule in all_rules():
             print(f"{rule.name:18} {rule.summary}")
         return 0
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("reprolint: --jobs must be >= 1")
 
     rules = _select_rules(args.rules)
     baseline_path = Path(args.baseline)
@@ -190,7 +181,7 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.update_baseline:
         # Findings still suppressed inline stay suppressed; the baseline
         # only absorbs what would otherwise be reported.
-        result = lint_paths(paths, rules=rules, baseline=Baseline(), jobs=args.jobs)
+        result = lint_paths(paths, rules=rules, baseline=Baseline())
         Baseline.from_diagnostics(result.diagnostics).save(baseline_path)
         print(
             f"reprolint: baseline {baseline_path} updated "
@@ -198,9 +189,7 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         return 0
 
-    result = lint_paths(
-        paths, rules=rules, baseline=baseline, jobs=args.jobs, cache=cache
-    )
+    result = lint_paths(paths, rules=rules, baseline=baseline, cache=cache)
     if args.format == "json":
         report = render_json(result)
     elif args.format == "sarif":

@@ -50,7 +50,3 @@ class FileContext:
     def pragma(self, line: int) -> LinePragmas | None:
         """Pragmas on a physical line (None when the line has none)."""
         return self.pragmas.get(line)
-
-    def in_package(self, *packages: str) -> bool:
-        """True when the file lives under one of the named repro subpackages."""
-        return self.module_parts is not None and self.module_parts[0] in packages

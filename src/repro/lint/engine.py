@@ -1,11 +1,8 @@
-"""The reprolint engine: discovery, parallel per-file analysis, filtering.
+"""The reprolint engine: discovery, per-file analysis, filtering.
 
-Files are analysed independently — parse, pragma scan, every rule — so
-the engine fans them out over a thread pool (AST work releases no GIL,
-but file IO does, and per-file isolation keeps the design ready for a
-process pool if the tree ever grows enough to need one). Findings are
-merged, sorted, filtered through inline pragmas and the baseline, and
-handed to a reporter.
+Files are analysed one at a time and independently — parse, pragma
+scan, every rule. Findings are merged, sorted, filtered through inline
+pragmas and the baseline, and handed to a reporter.
 
 Public entry point: :func:`lint_paths`.
 """
@@ -13,9 +10,6 @@ Public entry point: :func:`lint_paths`.
 from __future__ import annotations
 
 import ast
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.lint.baseline import Baseline
@@ -30,22 +24,9 @@ __all__ = [
     "discover_files",
     "check_file",
     "lint_paths",
-    "default_jobs",
 ]
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
-
-#: CPython 3.11's AST-to-object converter keeps its recursion counter on
-#: the *interpreter*, not the thread (fixed in 3.12); two overlapping
-#: ``ast.parse`` calls can corrupt it when a GC pass runs Python-level
-#: finalizers mid-conversion and yields the GIL. Serialising just the
-#: parse keeps the fan-out and removes the race.
-_PARSE_LOCK = threading.Lock()
-
-
-def default_jobs() -> int:
-    """Worker count: enough to hide IO, capped to stay polite."""
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 def discover_files(paths: list[Path]) -> list[Path]:
@@ -104,8 +85,7 @@ def check_file(
     except UnicodeDecodeError as exc:
         return [Diagnostic(display, 1, 0, "parse-error", f"unreadable file: {exc}")], 0
     try:
-        with _PARSE_LOCK:
-            tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         line = exc.lineno or 1
         col = (exc.offset or 1) - 1
@@ -143,7 +123,6 @@ def lint_paths(
     paths: list[Path],
     rules: tuple[LintRule, ...] | None = None,
     baseline: Baseline | None = None,
-    jobs: int | None = None,
     root: Path | None = None,
     cache: ResultCache | None = None,
 ) -> LintResult:
@@ -157,8 +136,6 @@ def lint_paths(
         Rule set (default: the full registry).
     baseline:
         Acknowledged findings to subtract (default: empty).
-    jobs:
-        Thread-pool width; 1 runs serially (handy under a debugger).
     root:
         Directory that display paths / baseline fingerprints are made
         relative to (default: the current working directory).
@@ -169,7 +146,6 @@ def lint_paths(
     """
     active_rules = rules if rules is not None else all_rules()
     base = baseline if baseline is not None else Baseline()
-    workers = jobs if jobs is not None else default_jobs()
     anchor = root if root is not None else Path.cwd()
 
     files = discover_files(paths)
@@ -177,20 +153,8 @@ def lint_paths(
 
     diagnostics: list[Diagnostic] = []
     suppressed = 0
-    if workers <= 1 or len(files) <= 1:
-        per_file = [
-            check_file(f, active_rules, anchor, cache, fingerprint)
-            for f in files
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_file = list(
-                pool.map(
-                    lambda f: check_file(f, active_rules, anchor, cache, fingerprint),
-                    files,
-                )
-            )
-    for kept, file_suppressed in per_file:
+    for f in files:
+        kept, file_suppressed = check_file(f, active_rules, anchor, cache, fingerprint)
         diagnostics.extend(kept)
         suppressed += file_suppressed
     diagnostics.sort()

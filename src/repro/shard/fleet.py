@@ -27,23 +27,33 @@ Accounting invariants:
   **consumed** (the worker processed it) or — only if its shard dies
   first — counted as a crash loss. ``drained(sid)`` is exactly
   ``consumed >= accepted``, and reports ship *after* processing, so a
-  drained session's results are already visible parent-side.
+  drained session's results are already visible parent-side. A report
+  carries the frames each session consumed since the worker's previous
+  report, which the parent adds to the session's record, so a
+  replacement worker's counts need no re-basing.
 - A SIGKILLed worker costs only the frames it took off its ring but
   never reported: at most one tick (``_TICK_MAX`` = 64 frames, shared by
   the shard's sessions). A worker reports after every tick, the drain
-  ticks of a detach included, so the bound holds mid-detach too. The
-  supervisor reads every report left in the dead worker's pipe, spawns
-  a replacement shard, re-homes the dead shard's sessions onto it, and
-  moves the dead ring's unconsumed records onto the replacement's ring —
-  the parent owns both segments, so frames accepted after the kill are
-  not lost either. It charges the rest to the sessions as
-  ``FrameDropEvent(where="crash")`` and fails any parent call waiting
-  on the dead worker; sessions on other shards never stall, and no
-  parent call blocks unboundedly. Liveness
-  is never checked on ``submit()``: frames for a dead shard simply wait
-  in its ring until the re-home.
+  ticks of a detach included. The supervisor reads every report left in
+  the dead worker's pipe, spawns a replacement shard and re-homes every
+  session the dead shard held, whether attaching, homed or detaching:
+  it attaches each on the replacement, moves the dead ring's unconsumed
+  records onto the replacement's ring — the parent owns both segments,
+  so frames accepted after the kill are not lost either — and charges
+  the rest to the sessions as ``FrameDropEvent(where="crash")``. A
+  detaching session's :class:`DetachMsg` is sent again after its
+  carried frames, so the replacement answers the waiting ``detach()``
+  and the bound holds mid-detach too. Sessions on other shards never
+  stall, and no parent call blocks unboundedly. Liveness is never
+  checked on ``submit()``: frames for a dead shard simply wait in its
+  ring until the re-home.
+- Past ``_MAX_RESPAWNS`` a dead shard is not replaced: its sessions are
+  settled the same way, with nothing to carry, and left without a
+  shard. ``drained()`` then holds, ``submit()`` raises ``KeyError``, and
+  ``detach()`` returns 0 and lets go of the session; a ``detach()``
+  already waiting is answered at once.
 - A session's :class:`AttachMsg` is sent before ``submit()`` can reach
-  its shard (before ``_assign`` points there), so a worker never sees a
+  its shard (before its record is homed), so a worker never sees a
   frame ahead of its session's attach.
 - A session's completion hook (``attach(session, on_complete)``) fires
   on the supervisor thread each time a report or a crash settlement
@@ -71,6 +81,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable
+from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 from typing import Any
 
@@ -104,10 +115,33 @@ _OP_TIMEOUT_S = 60.0
 
 #: Respawn-storm backstop: past this many shard restarts the fleet stops
 #: replacing corpses (an environment that kills every worker would
-#: otherwise respawn forever). Sessions homed on the unreplaced shard
-#: are unhomed — their accounting is settled so ``drained`` stays true,
-#: and further ``submit`` calls raise ``KeyError``.
+#: otherwise respawn forever). Sessions on the unreplaced shard are
+#: settled and left without a shard (see the module docstring).
 _MAX_RESPAWNS = 32
+
+#: Where a session is between ``attach()`` and the answer to its ``detach()``.
+_ATTACHING, _HOMED, _DETACHING = "attaching", "homed", "detaching"
+
+
+@dataclass
+class _Record:
+    """One attached session in the fleet, read and written under ``_cond``.
+
+    ``phase`` walks attaching → homed → detaching, and only a homed
+    session, whose :class:`AttachMsg` is already sent, takes frames.
+    ``shard`` is None once the respawn backstop stranded the session.
+    ``accepted`` counts frames pushed onto a ring and ``consumed`` frames
+    reported processed or settled by a crash: ``consumed >= accepted``
+    is drained.
+    """
+
+    session: DetectorSession
+    index: int
+    shard: ShardWorker | None
+    hook: Callable[[], None] | None
+    phase: str = _ATTACHING
+    accepted: int = 0
+    consumed: int = 0
 
 
 class ShardedFleet:
@@ -149,22 +183,8 @@ class ShardedFleet:
         self._slot_bytes = slot_bytes_for(slot_bins)
         self._cond = threading.Condition()
         self._pool: list[ShardWorker] = []  # reprolint: guarded-by(_cond)
-        self._assign: dict[str, ShardWorker] = {}  # reprolint: guarded-by(_cond)
-        #: Sessions between attach()'s two critical sections: reserved,
-        #: their AttachMsg in flight, not yet reachable by submit().
-        self._attaching: dict[str, ShardWorker] = {}  # reprolint: guarded-by(_cond)
-        self._index_of: dict[str, int] = {}  # reprolint: guarded-by(_cond)
-        self._sessions: dict[str, DetectorSession] = {}  # reprolint: guarded-by(_cond)
-        self._accepted: dict[str, int] = {}  # reprolint: guarded-by(_cond)
-        self._consumed: dict[str, int] = {}  # reprolint: guarded-by(_cond)
-        #: Consumed frames credited from *previous* shard epochs: a
-        #: replacement worker's cumulative counts restart at zero, so
-        #: reports merge as base + reported. Bumped on every re-home.
-        self._consumed_base: dict[str, int] = {}  # reprolint: guarded-by(_cond)
-        #: Completion hooks registered at attach (see :meth:`attach`).
-        self._hooks: dict[str, Callable[[], None]] = {}  # reprolint: guarded-by(_cond)
-        self._detach_acks: dict[str, DetachAck] = {}  # reprolint: guarded-by(_cond)
-        self._pending_detach: dict[str, ShardWorker] = {}  # reprolint: guarded-by(_cond)
+        #: Every session from ``attach()`` until its ``detach()`` is answered.
+        self._records: dict[str, _Record] = {}  # reprolint: guarded-by(_cond)
         self._next_index = 0
         self._next_shard = 0
         self._respawns = 0  # reprolint: guarded-by(_cond)
@@ -262,61 +282,50 @@ class ShardedFleet:
             if not self._started:
                 raise RuntimeError("fleet is not started")
             sid = session.session_id
-            if sid in self._sessions:
+            if sid in self._records:
                 raise ValueError(f"duplicate session id {sid!r}")
-            loads = {id(w): 0 for w in self._pool}
-            for homed_worker in self._assign.values():
-                loads[id(homed_worker)] = loads.get(id(homed_worker), 0) + 1
-            worker = min(self._pool, key=lambda w: loads[id(w)])
-            index = self._next_index
+            records = self._records.values()
+            worker = min(self._pool, key=lambda w: sum(r.shard is w for r in records))
+            record = _Record(session, self._next_index, worker, on_complete)
             self._next_index += 1
-            self._sessions[sid] = session
-            self._index_of[sid] = index
-            self._accepted.setdefault(sid, 0)
-            self._consumed.setdefault(sid, 0)
-            if on_complete is not None:
-                self._hooks[sid] = on_complete
-            self._attaching[sid] = worker
+            self._records[sid] = record
         # The attach goes down the pipe before submit() can route a frame
         # to this shard (see the module docstring). Sent outside the lock:
         # a full pipe must not stall the supervisor. Should the worker die
-        # in between, the crash path re-sends it to the replacement and
-        # retargets ``_attaching``.
-        worker.send(self._attach_msg(session, index))
+        # in between, the crash path re-sends it to the replacement.
+        worker.send(self._attach_msg(session, record.index))
         with self._cond:
-            target = self._attaching.pop(sid, None)
-            if target is not None:  # None: unhomed by the respawn backstop
-                self._assign[sid] = target
+            record.phase = _HOMED
 
     def detach(self, session_id: str) -> int:
-        """Flush and unhome a session; returns frames lost on the way.
+        """Flush and unhome a session; returns 0.
 
         The shard drains its ring, flushes the session's pending
         detection state, and ships a final report before the ack — so
         after ``detach`` returns, every event the session ever produced
-        is applied parent-side. Returns 0 on the clean path; non-zero
-        only when the shard died mid-detach (its in-flight frames).
+        is applied parent-side. A shard that dies mid-detach costs what
+        any crash costs, counted as ``dropped_crash``: the session is
+        re-homed like the others and the replacement answers. A session
+        the respawn backstop left without a shard is let go at once.
         """
         with self._cond:
-            worker = self._assign.pop(session_id, None)
-            if worker is None:
+            record = self._records.get(session_id)
+            if record is None or record.phase != _HOMED:
                 raise KeyError(f"unknown session id {session_id!r}")
-            self._pending_detach[session_id] = worker
-        if not worker.send(DetachMsg(session_id)):
-            # Unreachable worker: the supervisor's crash path will (or
-            # already did) synthesize the ack; fall through to the wait.
-            pass
+            worker = record.shard
+            if worker is None:
+                del self._records[session_id]
+                return 0
+            record.phase = _DETACHING
+        # Should the worker be gone, the crash path re-sends the request
+        # to its replacement, or answers it past the respawn backstop.
+        worker.send(DetachMsg(session_id))
         deadline = time.monotonic() + _OP_TIMEOUT_S
         with self._cond:
-            while session_id not in self._detach_acks:
+            while self._records.get(session_id) is record:
                 if not self._cond.wait(timeout=0.1) and time.monotonic() > deadline:
                     raise TimeoutError(f"shard never acknowledged detach of {session_id!r}")
-            self._detach_acks.pop(session_id)
-            self._pending_detach.pop(session_id, None)
-            self._index_of.pop(session_id, None)
-            lost = self._accepted.pop(session_id, 0) - self._consumed.pop(session_id, 0)
-            self._consumed_base.pop(session_id, None)
-            return max(0, lost)
+        return 0
 
     def submit(self, session_id: str, item: FrameItem) -> bool:
         """Non-blocking ingest of one produced frame item.
@@ -329,20 +338,19 @@ class ShardedFleet:
         """
         frame, timestamp_s = item
         with self._cond:
-            worker = self._assign.get(session_id)
-            if worker is None:
-                raise KeyError(f"unknown session id {session_id!r}")
-            index = self._index_of[session_id]
-            record = encode_slot(
-                index, time.perf_counter(), timestamp_s, np.ascontiguousarray(frame)
+            record = self._records.get(session_id)
+            if record is None or record.phase != _HOMED or record.shard is None:
+                raise KeyError(f"no shard homes session id {session_id!r}")
+            data = encode_slot(
+                record.index, time.perf_counter(), timestamp_s, np.ascontiguousarray(frame)
             )
-            accepted = worker.ring.push(record)
+            accepted = record.shard.ring.push(data)
             if accepted:
-                self._accepted[session_id] += 1
+                record.accepted += 1
             account_queue(
                 self.metrics,
-                self._sessions[session_id],
-                self._accepted[session_id] - self._consumed[session_id],
+                record.session,
+                record.accepted - record.consumed,
                 None if accepted else item,
             )
         return accepted
@@ -350,25 +358,24 @@ class ShardedFleet:
     def drained(self, session_id: str) -> bool:
         """True when every accepted frame has been consumed by its shard."""
         with self._cond:
-            if session_id not in self._sessions:
+            record = self._records.get(session_id)
+            if record is None:
                 raise KeyError(f"unknown session id {session_id!r}")
-            return self._consumed.get(session_id, 0) >= self._accepted.get(session_id, 0)
+            return record.consumed >= record.accepted
 
     def idle(self) -> bool:
         """True when every session is drained."""
         with self._cond:
-            return all(
-                self._consumed.get(sid, 0) >= self._accepted.get(sid, 0)
-                for sid in self._sessions
-            )
+            return all(r.consumed >= r.accepted for r in self._records.values())
 
     # -------------------------------------------------------------- inspection
     def shards(self) -> dict[int, list[str]]:
         """Session ids homed on each live shard (shard index keyed)."""
         with self._cond:
             out: dict[int, list[str]] = {w.shard_index: [] for w in self._pool}
-            for sid, worker in self._assign.items():
-                out.setdefault(worker.shard_index, []).append(sid)
+            for sid, record in self._records.items():
+                if record.phase == _HOMED and record.shard is not None:
+                    out.setdefault(record.shard.shard_index, []).append(sid)
             return out
 
     def shard_pid(self, shard_index: int) -> int:
@@ -412,7 +419,6 @@ class ShardedFleet:
                     msg = conn.recv()  # type: ignore[union-attr]
                 except (EOFError, OSError):
                     continue  # liveness check below handles the corpse
-                worker.last_seen = time.monotonic()
                 self._handle_message(worker, msg)
             self._check_crashes()
 
@@ -426,7 +432,7 @@ class ShardedFleet:
         elif isinstance(msg, DetachAck):
             self._apply_report(worker, msg.report)
             with self._cond:
-                self._ack_detach(msg)
+                self._forget(msg.session_id)
         elif isinstance(msg, StoppedMsg):
             self._apply_report(worker, msg.report)
             with self._cond:
@@ -448,7 +454,7 @@ class ShardedFleet:
             self.metrics.gauge(f"shard.{shard}.rss_bytes").set(report.rss_bytes)
         self.metrics.gauge(f"shard.{shard}.ring_bytes").set(worker.ring.high_water)
         with self._cond:
-            sessions = dict(self._sessions)
+            sessions = {sid: r.session for sid, r in self._records.items()}
         for sid, n_frames, latencies, time_s in report.batches:
             session = sessions.get(sid)
             if session is not None:
@@ -466,37 +472,31 @@ class ShardedFleet:
         hooks: list[Callable[[], None]] = []
         with self._cond:
             for sid, consumed in report.consumed.items():
-                rebased = self._consumed_base.get(sid, 0) + consumed
-                if rebased > self._consumed.get(sid, 0):
-                    self._consumed[sid] = rebased
-                    self._account_exit(sid)
-                    hook = self._hooks.get(sid)
-                    if hook is not None:
-                        hooks.append(hook)
+                record = self._records.get(sid)
+                if record is None:
+                    continue
+                record.consumed += consumed
+                account_queue(self.metrics, record.session, record.accepted - record.consumed)
+                if record.hook is not None:
+                    hooks.append(record.hook)
             self._cond.notify_all()
-        # Only after _consumed moved: a caller a hook wakes must already
-        # see drained() hold.
+        # Only after the consumed counts moved: a caller a hook wakes must
+        # already see drained() hold.
         for hook in hooks:
             hook()
 
-    def _ack_detach(self, ack: DetachAck) -> None:  # reprolint: guarded-by(_cond)
-        """Answer a waiting :meth:`detach` and forget its session.
+    def _forget(self, session_id: str) -> None:  # reprolint: guarded-by(_cond)
+        """Let go of a detaching session, answering the ``detach()`` waiting on it.
 
         Both happen in one critical section: every report is replayed
-        from a snapshot of ``_sessions`` taken under the lock, so no
+        from a snapshot of the records taken under the lock, so no
         snapshot taken once ``detach()`` can return holds the session,
         and neither does the fleet.
         """
-        self._detach_acks[ack.session_id] = ack
-        self._sessions.pop(ack.session_id, None)
-        self._hooks.pop(ack.session_id, None)
-        self._cond.notify_all()
-
-    def _account_exit(self, sid: str) -> None:  # reprolint: guarded-by(_cond)
-        """Rewrite a session's depth gauge after its consumed count moved."""
-        session = self._sessions.get(sid)
-        if session is not None:
-            account_queue(self.metrics, session, self._accepted[sid] - self._consumed[sid])
+        record = self._records.get(session_id)
+        if record is not None and record.phase == _DETACHING:
+            del self._records[session_id]
+            self._cond.notify_all()
 
     def _check_crashes(self) -> None:
         with self._cond:
@@ -525,77 +525,65 @@ class ShardedFleet:
                 return
             # Every report it sent is applied: its series go with it.
             self.metrics.drop_labelled("shard", str(worker.shard_index))
-            homed = [sid for sid, w in self._assign.items() if w is worker]
-            attaching = [sid for sid, w in self._attaching.items() if w is worker]
-            # Fail any call waiting on the corpse.
-            for sid, pending_worker in list(self._pending_detach.items()):
-                if pending_worker is worker:
-                    self._ack_detach(DetachAck(sid, ShardReport()))
-                    self._pending_detach.pop(sid)
             self.metrics.counter("fleet.shard_crashes").inc()
-            if self._respawns >= _MAX_RESPAWNS:
-                self._settle(homed, {})
-                self._pool = [w for w in self._pool if w is not worker]
-                for sid in homed:
-                    self._assign.pop(sid, None)
-                for sid in attaching:
-                    self._attaching.pop(sid, None)
-                self._cond.notify_all()
-                worker.close()
-                return
-            self._respawns += 1
-            replacement = self._spawn_worker(mp_context())
-            # Attaches first: no carried frame may reach the new ring
-            # ahead of its session's AttachMsg.
-            for sid in homed + attaching:
-                replacement.send(
-                    self._attach_msg(self._sessions[sid], self._index_of[sid])
-                )
-            # The dead ring's backlog is intact (the parent owns the
-            # segment): carry it over instead of charging it to the crash.
-            sid_of = {self._index_of[sid]: sid for sid in homed}
-            carried: dict[str, int] = {}
-            for index, record in worker.ring.unconsumed():
-                sid = sid_of.get(index)
-                if sid is not None and replacement.ring.push(record):
-                    carried[sid] = carried.get(sid, 0) + 1
-            self._settle(homed, carried)
-            self._pool = [replacement if w is worker else w for w in self._pool]
-            for sid in homed:
-                self._assign[sid] = replacement
+            records = [r for r in self._records.values() if r.shard is worker]
+            carried: dict[int, int] = {}
+            replacement: ShardWorker | None = None
+            if self._respawns < _MAX_RESPAWNS:
+                self._respawns += 1
+                replacement = self._spawn_worker(mp_context())
+                # Attaches first: no carried frame may reach the new ring
+                # ahead of its session's AttachMsg.
+                for record in records:
+                    replacement.send(self._attach_msg(record.session, record.index))
+                # The dead ring's backlog is intact (the parent owns the
+                # segment): carry it over instead of charging it to the crash.
+                indices = {record.index for record in records}
+                for index, data in worker.ring.unconsumed():
+                    if index in indices and replacement.ring.push(data):
+                        carried[index] = carried.get(index, 0) + 1
+                self._pool[self._pool.index(worker)] = replacement
+            else:
+                self._pool.remove(worker)
+            self._settle(records, carried)
+            for record in records:
+                record.shard = replacement
+                sid = record.session.session_id
+                if replacement is None:
+                    self._forget(sid)  # answers a waiting detach()
+                    continue
                 # The replacement builds a fresh detector: it starts cold.
-                session = self._sessions[sid]
-                session._mirror_state(session.time_s, selected=False)
-            for sid in attaching:
-                self._attaching[sid] = replacement
+                record.session._mirror_state(record.session.time_s, selected=False)
+                if record.phase == _DETACHING:
+                    # After its carried frames: the replacement drains
+                    # them, flushes the session and answers the detach().
+                    replacement.send(DetachMsg(sid))
             self._cond.notify_all()
         worker.close()
 
     def _settle(  # reprolint: guarded-by(_cond)
-        self, homed: list[str], carried: dict[str, int]
+        self, records: list[_Record], carried: dict[int, int]
     ) -> None:
         """Charge a dead shard's unreported frames to ``dropped_crash``.
 
         Every accepted frame is either reported consumed, carried onto
-        the replacement's ring, or lost: taken off the dead ring by a
-        worker that died before reporting it (at most one tick). The
-        loss reaches the session as ``FrameDropEvent(where="crash")``,
-        which its ``_emit`` counts, and its completion hook fires once
-        ``_consumed`` has moved (under ``_cond``, which the hook's O(1),
-        non-blocking contract allows).
+        the replacement's ring (``carried`` counts them by session
+        index), or lost: taken off the dead ring by a worker that died
+        before reporting it (at most one tick). The loss reaches the
+        session as ``FrameDropEvent(where="crash")``, which its ``_emit``
+        counts, and its completion hook fires once the consumed count
+        has moved (under ``_cond``, which the hook's O(1), non-blocking
+        contract allows).
         """
-        for sid in homed:
-            settled = self._accepted[sid] - carried.get(sid, 0)
-            lost = settled - self._consumed[sid]
-            # Replacement workers count consumed frames from zero, the
-            # carried ones first: everything before them is settled.
-            self._consumed[sid] = self._consumed_base[sid] = settled
-            self._account_exit(sid)
+        for record in records:
+            in_flight = carried.get(record.index, 0)
+            lost = record.accepted - in_flight - record.consumed
+            # The replacement reports the carried frames as it takes them.
+            record.consumed = record.accepted - in_flight
+            session = record.session
+            account_queue(self.metrics, session, in_flight)
             if lost <= 0:
                 continue
-            session = self._sessions.get(sid)
-            if session is not None:
-                session._emit(FrameDropEvent(sid, session.time_s, lost, where="crash"))
-            hook = self._hooks.get(sid)
-            if hook is not None:
-                hook()
+            session._emit(FrameDropEvent(session.session_id, session.time_s, lost, where="crash"))
+            if record.hook is not None:
+                record.hook()

@@ -77,9 +77,11 @@ class ReadyMsg:
 class ShardReport:
     """Per-tick results and accounting (worker → parent).
 
-    ``consumed`` is cumulative per session — frames taken off the ring
-    and processed — and is what the parent's ``drained()`` compares
-    against its accepted counts. Reports are sent *after* the tick's
+    ``consumed`` counts, per session, the frames taken off the ring and
+    processed since the worker's previous report; the parent adds them
+    to the consumed counts its ``drained()`` compares against its
+    accepted counts, so a replacement worker starts from nothing and
+    needs no re-basing. Reports are sent *after* the tick's
     processing, so a drained session's results are already applied
     parent-side. ``events`` and ``batches`` are what the worker's
     sessions recorded since the last report, in order; the parent

@@ -20,9 +20,10 @@ The worker process owns a shard of sessions. Its loop is a tick:
    session is a :class:`~repro.fleet.session.DetectorSession` built from
    the attach's geometry and config: the detector alone, never a chip.
 3. Ship a :class:`~repro.shard.messages.ShardReport` (the sessions'
-   events and batches, cumulative consumed counts, the worker's
-   resident bytes) after every tick that did work — including each tick
-   of a detach's drain — and heartbeat on a fixed cadence while idle.
+   events and batches, the frames each consumed since the previous
+   report, the worker's resident bytes) after every tick that did work
+   — including each tick of a detach's drain — and on a fixed cadence
+   while idle.
    Reports go after processing, so the parent's ``drained()`` implies
    results are already applied. The worker counts nothing itself: the
    parent counts each event and batch once, on its own session, and
@@ -78,7 +79,8 @@ __all__ = ["ShardWorker", "mp_context", "shard_worker_main"]
 #: flat part.
 _TICK_MAX = 64
 
-#: Idle heartbeat cadence — the parent treats reports as liveness.
+#: Idle report cadence: keeps the parent's RSS and ring gauges fresh
+#: while no frames flow. (Liveness is the parent's ``Process.is_alive()``.)
 _HEARTBEAT_S = 0.2
 
 #: Idle poll on the control pipe (doubles as the idle sleep).
@@ -132,8 +134,8 @@ class _WorkerState:
     def __init__(self) -> None:
         self.by_index: dict[int, _ShardSession] = {}
         self.by_id: dict[str, _ShardSession] = {}
+        #: What the sessions consumed and recorded since the last report.
         self.consumed: dict[str, int] = {}
-        #: What the sessions recorded since the last report.
         self.events: list[FleetEvent] = []
         self.batches: list[BatchRecord] = []
         self.unrouted = 0
@@ -151,7 +153,6 @@ class _WorkerState:
         session.outbox = self
         self.by_index[msg.session_index] = session
         self.by_id[msg.session_id] = session
-        self.consumed.setdefault(msg.session_id, 0)
 
     def detach(self, session_id: str, ring: ShmRing, conn: Connection) -> ShardReport:
         """Drain the ring, flush the session and forget it; the final report.
@@ -175,20 +176,17 @@ class _WorkerState:
         final = self.report()
         del self.by_id[session_id]
         self.by_index = {i: s for i, s in self.by_index.items() if s is not session}
-        # The parent zeroes its side on detach, so a re-attach of this
-        # sid must also restart the worker's cumulative accounting.
-        self.consumed.pop(session_id, None)
         return final
 
     def report(self) -> ShardReport:
         report = ShardReport(
-            consumed=dict(self.consumed),
+            consumed=self.consumed,
             events=self.events,
             batches=self.batches,
             unrouted=self.unrouted,
             rss_bytes=_rss_bytes(),
         )
-        self.events, self.batches, self.unrouted = [], [], 0
+        self.consumed, self.events, self.batches, self.unrouted = {}, [], [], 0
         return report
 
 
@@ -241,7 +239,8 @@ def _tick(ring: ShmRing, conn: Connection, state: _WorkerState) -> int:
             enqueued_ats=[rf.enqueued_at for rf in rfs],
             denoised=denoised_of.get(index),
         )
-        state.consumed[session.session_id] += len(rfs)
+        sid = session.session_id
+        state.consumed[sid] = state.consumed.get(sid, 0) + len(rfs)
     consumed = len(ring_frames)
     # Drop every shared-memory view before freeing their records.
     del ring_frames, groups, denoised_of
@@ -353,7 +352,6 @@ class ShardWorker:
         self.ready = False
         self.stop_requested = False
         self.stopped = False
-        self.last_seen = time.monotonic()
         self.process = context.Process(
             target=shard_worker_main,
             args=(child_conn, self.ring.name),

@@ -35,7 +35,7 @@ from repro.fleet.session import DetectorSession
 from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import Ack, WireDecoder
 from repro.gateway.server import GatewayServer, _Connection
-from repro.shard.fleet import ShardedFleet
+from repro.shard.fleet import ShardedFleet, _Record
 
 _N_BINS = 16
 _FPS = 25.0
@@ -132,13 +132,16 @@ class TestCompletionHook:
         session = _session("k0")
         seen: list[tuple[bool, int]] = []
         with fleet._cond:
-            fleet._sessions["k0"] = session
-            fleet._accepted["k0"] = 10
-            fleet._consumed["k0"] = 7
-            fleet._hooks["k0"] = lambda: seen.append(
-                (fleet.drained("k0"), session.dropped_crash)
+            record = _Record(
+                session,
+                0,
+                None,
+                lambda: seen.append((fleet.drained("k0"), session.dropped_crash)),
+                accepted=10,
+                consumed=7,
             )
-            fleet._settle(["k0"], {})
+            fleet._records["k0"] = record
+            fleet._settle([record], {})
         assert seen == [(True, 3)]
 
 
@@ -299,10 +302,8 @@ class TestCrashLossInWatermark:
             # with the rest taken off its ring: the re-home settles them.
             session.frames_processed = n - lost
             with fleet._cond:
-                fleet._sessions["w0"] = session
-                fleet._accepted["w0"] = n
-                fleet._consumed["w0"] = n - lost
-                fleet._settle(["w0"], {})
+                record = _Record(session, 0, None, None, accepted=n, consumed=n - lost)
+                fleet._settle([record], {})
             return conn.completion_watermark(), conn.stats()
 
         watermark, stats = asyncio.run(scenario())

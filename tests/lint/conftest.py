@@ -36,7 +36,7 @@ class SnippetLinter:
         baseline=None,
     ) -> LintResult:
         path = self.write(source, rel)
-        return lint_paths([path], rules=rules, baseline=baseline, jobs=1, root=self.root)
+        return lint_paths([path], rules=rules, baseline=baseline, root=self.root)
 
     def findings(self, source: str, rel: str = "repro/sim/snippet.py", rules=None) -> list[Diagnostic]:
         return self.lint(source, rel, rules=rules).diagnostics

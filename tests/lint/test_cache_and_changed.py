@@ -29,11 +29,11 @@ class TestResultCache:
         cache_dir = tmp_path / "cache"
 
         cold = ResultCache(cache_dir)
-        first = lint_paths([target], jobs=1, root=tmp_path, cache=cold)
+        first = lint_paths([target], root=tmp_path, cache=cold)
         assert (cold.hits, cold.misses) == (0, 1)
 
         warm = ResultCache(cache_dir)  # fresh instance: entries persisted
-        second = lint_paths([target], jobs=1, root=tmp_path, cache=warm)
+        second = lint_paths([target], root=tmp_path, cache=warm)
         assert (warm.hits, warm.misses) == (1, 0)
         assert second.diagnostics == first.diagnostics
         assert second.suppressed == first.suppressed
@@ -41,11 +41,11 @@ class TestResultCache:
     def test_editing_the_file_invalidates(self, tmp_path):
         target = _write_tree(tmp_path)
         cache_dir = tmp_path / "cache"
-        lint_paths([target], jobs=1, root=tmp_path, cache=ResultCache(cache_dir))
+        lint_paths([target], root=tmp_path, cache=ResultCache(cache_dir))
 
         target.write_text(CLEAN)
         after = ResultCache(cache_dir)
-        result = lint_paths([target], jobs=1, root=tmp_path, cache=after)
+        result = lint_paths([target], root=tmp_path, cache=after)
         assert (after.hits, after.misses) == (0, 1)
         assert result.diagnostics == []
 
@@ -65,8 +65,7 @@ class TestResultCache:
         target = _write_tree(tmp_path)
         cache_dir = tmp_path / "cache"
         rules = all_rules()
-        lint_paths([target], rules=rules, jobs=1, root=tmp_path,
-                   cache=ResultCache(cache_dir))
+        lint_paths([target], rules=rules, root=tmp_path, cache=ResultCache(cache_dir))
 
         bumped = tuple(rules)
         flipped = bumped[0]
@@ -74,25 +73,25 @@ class TestResultCache:
         try:
             type(flipped).version = f"{original_version}-test-bump"
             after = ResultCache(cache_dir)
-            lint_paths([target], rules=bumped, jobs=1, root=tmp_path, cache=after)
+            lint_paths([target], rules=bumped, root=tmp_path, cache=after)
             assert (after.hits, after.misses) == (0, 1)
         finally:
             type(flipped).version = original_version
 
         # Same versions again: the re-written entry is warm.
         warm = ResultCache(cache_dir)
-        lint_paths([target], rules=rules, jobs=1, root=tmp_path, cache=warm)
+        lint_paths([target], rules=rules, root=tmp_path, cache=warm)
         assert (warm.hits, warm.misses) == (1, 0)
 
     def test_corrupt_entries_degrade_to_misses(self, tmp_path):
         target = _write_tree(tmp_path)
         cache_dir = tmp_path / "cache"
-        first = lint_paths([target], jobs=1, root=tmp_path, cache=ResultCache(cache_dir))
+        first = lint_paths([target], root=tmp_path, cache=ResultCache(cache_dir))
         for entry in cache_dir.rglob("*.json"):
             entry.write_text("{not json")
 
         recover = ResultCache(cache_dir)
-        result = lint_paths([target], jobs=1, root=tmp_path, cache=recover)
+        result = lint_paths([target], root=tmp_path, cache=recover)
         assert (recover.hits, recover.misses) == (0, 1)
         assert result.diagnostics == first.diagnostics
 
@@ -100,7 +99,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "blocked")
         (tmp_path / "blocked").write_text("a file, not a directory")
         target = _write_tree(tmp_path)
-        result = lint_paths([target], jobs=1, root=tmp_path, cache=cache)
+        result = lint_paths([target], root=tmp_path, cache=cache)
         assert [d.rule for d in result.diagnostics] == ["wall-clock"]
 
 

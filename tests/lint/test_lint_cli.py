@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint import all_rules, lint_paths
+from repro.lint import all_rules
 
 
 def _run_lint_cli(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -183,12 +183,3 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert exit_code == 2
         assert "parse-error" in out
-
-
-class TestEngineParallelism:
-    def test_parallel_and_serial_agree_on_the_real_tree(self, repo_root):
-        src = repo_root / "src"
-        serial = lint_paths([src], jobs=1, root=repo_root)
-        parallel = lint_paths([src], jobs=8, root=repo_root)
-        assert serial.diagnostics == parallel.diagnostics
-        assert serial.files == parallel.files == len(list(src.rglob("*.py")))

@@ -42,7 +42,7 @@ def _seeded_tree(repo_root: Path, tmp_path: Path, seeds: dict[str, list[tuple[st
 def _findings(tmp_path: Path, rule: str) -> list[tuple[str, str]]:
     """``(path, message)`` of every ``rule`` finding in the seeded tree."""
     rules = (rules_by_name()[rule],)
-    result = lint_paths([tmp_path / "repro"], rules=rules, jobs=1, root=tmp_path)
+    result = lint_paths([tmp_path / "repro"], rules=rules, root=tmp_path)
     return [(d.path, d.message) for d in result.diagnostics]
 
 

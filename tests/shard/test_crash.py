@@ -8,11 +8,15 @@ to the dead shard's sessions only; the dead ring's backlog moves to the
 replacement. Sessions on other shards lose nothing, the parent never
 deadlocks (``drained`` resolves), the dead shard's sessions are
 re-homed onto a fresh worker and keep processing, and ``detach`` still
-returns for every session afterwards.
+returns for every session afterwards. A kill while ``detach()`` waits
+re-homes the detaching session too, and the replacement answers it;
+past the respawn limit a stranded session still detaches, with 0.
 
 Waits for the fleet to drain are on the sessions' completion hooks.
-The one wait for the supervisor to notice a kill polls with a deadline:
-it has no event to wait on. None sleeps to win a race.
+The waits for the supervisor to notice a kill, for a signalled worker
+to stop and for ``detach()`` to take its session off the shard poll
+with a deadline: they have no event to wait on. None sleeps to win a
+race.
 """
 
 from __future__ import annotations
@@ -21,13 +25,16 @@ import os
 import signal
 import threading
 import time
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.fleet.events import FrameDropEvent, StateChangeEvent
 from repro.fleet.session import DetectorSession
-from repro.shard.fleet import ShardedFleet
+from repro.shard import fleet as fleet_module
+from repro.shard.fleet import _OP_TIMEOUT_S, ShardedFleet, _Record
 from repro.shard.worker import _TICK_MAX
 
 _N_BINS = 32
@@ -48,6 +55,19 @@ def _wait_for(condition, what: str, timeout_s: float = 120.0) -> None:
     while not condition():
         assert time.monotonic() < deadline, what
         time.sleep(0.01)
+
+
+def _frames(n_frames: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal((n_frames, _N_BINS)) + 1j * rng.standard_normal((n_frames, _N_BINS))
+    ).astype(np.complex64)
+
+
+def _stopped(pid: int) -> bool:
+    """True once a SIGSTOPped process is actually stopped (``/proc`` state T)."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return stat[stat.rindex(")") + 2] == "T"
 
 
 class _Stream:
@@ -247,11 +267,79 @@ def test_settled_crash_loss_reaches_health_and_metrics():
     session = DetectorSession("h0", n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=fleet.metrics)
     session.start()
     with fleet._cond:
-        fleet._sessions["h0"] = session
-        fleet._accepted["h0"] = 10
-        fleet._consumed["h0"] = 7
-        fleet._settle(["h0"], {})
+        fleet._settle([_Record(session, 0, None, None, accepted=10, consumed=7)], {})
     assert session.health()["dropped_crash"] == session.dropped_crash == 3
     assert _crash_lost(session) == 3
     assert fleet.metrics.counter("fleet.dropped_crash").value == 3
     session.close()
+
+
+def test_a_kill_mid_detach_rehomes_the_session_and_the_replacement_answers():
+    """A shard SIGKILLed while ``detach()`` waits on it.
+
+    The worker is stopped before any frame reaches its ring, so its whole
+    backlog is still on the dead ring at the kill: the replacement takes
+    it, processes it, flushes the session and answers the detach, and
+    nothing is lost.
+    """
+    fleet = ShardedFleet(workers=1, queue_depth=1024, slot_bins=_N_BINS)
+    session = DetectorSession("d0", n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=fleet.metrics)
+    fleet.start()
+    try:
+        session.start()
+        fleet.attach(session)
+        pid = fleet.shard_pid(0)
+        os.kill(pid, signal.SIGSTOP)
+        _wait_for(lambda: _stopped(pid), "the worker never stopped")
+        accepted = sum(
+            fleet.submit("d0", (frame, k / _FPS))
+            for k, frame in enumerate(_frames(_N_FRAMES, seed=17))
+        )
+        answers: list[int] = []
+        detacher = threading.Thread(target=lambda: answers.append(fleet.detach("d0")))
+        detacher.start()
+        # Off its shard's list: detach() has begun, so the kill lands mid-detach.
+        _wait_for(lambda: fleet.shards()[0] == [], "detach() never began")
+        os.kill(pid, signal.SIGKILL)
+        detacher.join(_OP_TIMEOUT_S + 10.0)
+        assert not detacher.is_alive(), "detach() never returned"
+
+        assert answers == [0]
+        assert fleet.metrics.counter("fleet.shard_crashes").value == 1
+        assert session.frames_processed + session.dropped_crash == accepted == _N_FRAMES
+        assert session.frames_processed == _N_FRAMES  # every frame was carried
+    finally:
+        fleet.stop()
+        session.close()
+
+
+def test_a_session_the_respawn_backstop_strands_detaches_and_is_freed(
+    monkeypatch, refcount_only
+):
+    """Past the respawn limit the dead shard is not replaced: its session
+    reads drained, refuses frames, and detaches with 0, after which the
+    fleet holds no reference to it."""
+    monkeypatch.setattr(fleet_module, "_MAX_RESPAWNS", 0)
+    fleet = ShardedFleet(workers=1, slot_bins=_N_BINS)
+    frames = _frames(20, seed=19)
+    fleet.start()
+    try:
+        session = DetectorSession("b0", n_bins=_N_BINS, frame_rate_hz=_FPS, metrics=fleet.metrics)
+        session.start()
+        fleet.attach(session)
+        accepted = sum(fleet.submit("b0", (frame, k / _FPS)) for k, frame in enumerate(frames))
+        os.kill(fleet.shard_pid(0), signal.SIGKILL)
+        _wait_for(lambda: fleet.shards() == {}, "the dead shard was never given up")
+
+        assert fleet.drained("b0")
+        assert session.frames_processed + session.dropped_crash == accepted
+        with pytest.raises(KeyError):
+            fleet.submit("b0", (frames[0], 1.0))
+        refs = [weakref.ref(session), weakref.ref(session.detector)]
+        assert fleet.detach("b0") == 0
+        with pytest.raises(KeyError):
+            fleet.drained("b0")  # let go
+        del session
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        fleet.stop()

@@ -1,6 +1,6 @@
 """CI smoke check for the process-sharded fleet runtime (``repro.shard``).
 
-Three phases, all run for real (worker processes, shared-memory rings):
+Four phases, all run for real (worker processes, shared-memory rings):
 
 1. **Crash recovery.** A 4-shard fleet streams synthetic frames into 8
    sessions; one worker is SIGKILLed mid-stream. The check gates on the
@@ -11,12 +11,19 @@ Three phases, all run for real (worker processes, shared-memory rings):
    one worker tick (the frames it took but never reported). Re-homed
    sessions must keep
    processing after the crash (the replacement shard does real work).
-2. **Gateway end-to-end over the sharded backend.** Reuses the
+2. **Crash mid-detach.** Two sessions share one shard. The shard is
+   stopped (SIGSTOP), both sessions queue a backlog, one is detached on
+   a thread, and the shard is SIGKILLed while that ``detach()`` waits.
+   The detach must return, exactly one crash is counted, each session
+   conserves ``processed + crash_lost == accepted`` and loses at most
+   one tick, and the survivor keeps processing on the replacement.
+   Linux only (it waits for the stop in ``/proc``).
+3. **Gateway end-to-end over the sharded backend.** Reuses the
    gateway-smoke gates (zero loss below the backpressure threshold,
    well-formed /metrics whose frame counters conserve, bit-identical
    recordings) with
    ``--backend sharded``, proving the serve surface really is a drop-in.
-3. **Worker memory under session churn.** One shard worker serves
+4. **Worker memory under session churn.** One shard worker serves
    sessions one after another; each attaches, streams a few hundred
    frames, drains and detaches. The worker's resident set (``VmRSS``)
    may grow by at most a small bound between the 10th session and the
@@ -60,6 +67,9 @@ import gateway_smoke  # noqa: E402
 
 _DRAIN_TIMEOUT_S = 120.0
 
+#: Mid-detach phase: each session's backlog on the stopped shard.
+_MID_DETACH_FRAMES = 300
+
 #: Churn phase: sessions served one after another by one worker, the
 #: frames each streams, and the worker's allowed RSS growth between the
 #: 10th session and the last (the first sessions warm the ring's pages
@@ -79,6 +89,16 @@ def crash_lost(session: DetectorSession) -> int:
         for e in session.events
         if isinstance(e, FrameDropEvent) and e.where == "crash"
     )
+
+
+def wait_until(condition, timeout_s: float = _DRAIN_TIMEOUT_S) -> bool:
+    """Poll ``condition`` until it holds (True) or the deadline passes."""
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 def run_crash_phase(args: argparse.Namespace) -> list[str]:
@@ -114,12 +134,9 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
             for sid, session in sessions.items():
                 if fleet.submit(sid, (traces[sid][k], k / fps)):
                     accepted[sid] += 1
-        deadline = time.monotonic() + _DRAIN_TIMEOUT_S
-        while not fleet.idle():
-            if time.monotonic() > deadline:
-                failures.append("fleet never drained after the crash (deadlock)")
-                return failures
-            time.sleep(0.01)
+        if not wait_until(fleet.idle):
+            failures.append("fleet never drained after the crash (deadlock)")
+            return failures
         crashes = int(fleet.metrics.counter("fleet.shard_crashes").value)
         if crashes != 1:
             failures.append(f"expected exactly 1 shard crash, counted {crashes}")
@@ -147,6 +164,95 @@ def run_crash_phase(args: argparse.Namespace) -> list[str]:
         )
         for sid in sids:
             fleet.detach(sid)
+    finally:
+        fleet.stop()
+        for session in sessions.values():
+            session.close()
+    return failures
+
+
+def process_stopped(pid: int) -> bool:
+    """True once a SIGSTOPped process is actually stopped (``/proc`` state T)."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return stat[stat.rindex(")") + 2] == "T"
+
+
+def run_mid_detach_phase(args: argparse.Namespace) -> list[str]:
+    if not Path("/proc/self/stat").exists():
+        print("mid-detach phase skipped: no /proc to see the shard stop")
+        return []
+    failures: list[str] = []
+    rng = np.random.default_rng(args.seed)
+    n_bins, fps, backlog = 64, 25.0, _MID_DETACH_FRAMES
+    leaving, staying = "leaving", "staying"
+    traces = {
+        sid: (
+            rng.standard_normal((2 * backlog, n_bins))
+            + 1j * rng.standard_normal((2 * backlog, n_bins))
+        ).astype(np.complex64)
+        for sid in (leaving, staying)
+    }
+    sessions = {
+        sid: DetectorSession(sid, n_bins=n_bins, frame_rate_hz=fps) for sid in traces
+    }
+    accepted = {sid: 0 for sid in traces}
+
+    def submit(sid: str, k: int) -> None:
+        accepted[sid] += fleet.submit(sid, (traces[sid][k], k / fps))
+
+    fleet = ShardedFleet(workers=1, queue_depth=4096, slot_bins=n_bins)
+    fleet.start()
+    try:
+        for session in sessions.values():
+            session.start()
+            fleet.attach(session)
+        pid = fleet.shard_pid(0)
+        os.kill(pid, signal.SIGSTOP)
+        if not wait_until(lambda: process_stopped(pid)):
+            return ["mid-detach phase: the shard never stopped"]
+        for k in range(backlog):
+            submit(leaving, k)
+            submit(staying, k)
+        answer: list[int] = []
+        detacher = threading.Thread(target=lambda: answer.append(fleet.detach(leaving)))
+        detacher.start()
+        # Off its shard's list: detach() has begun, so the kill lands mid-detach.
+        if not wait_until(lambda: leaving not in fleet.shards()[0]):
+            failures.append("mid-detach phase: detach() never began")
+        print(f"SIGKILL stopped shard 0 (pid {pid}) while detach({leaving!r}) waits")
+        os.kill(pid, signal.SIGKILL)
+        detacher.join(_DRAIN_TIMEOUT_S)
+        if not answer:
+            failures.append("mid-detach phase: detach() never returned after the kill")
+            return failures
+        for k in range(backlog, 2 * backlog):
+            submit(staying, k)
+        if not wait_until(lambda: fleet.drained(staying)):
+            failures.append("mid-detach phase: the survivor never drained (deadlock)")
+            return failures
+        crashes = int(fleet.metrics.counter("fleet.shard_crashes").value)
+        print(
+            f"mid-detach phase: detach returned {answer[0]}, {crashes} crash; "
+            + ", ".join(
+                f"{sid} processed {sessions[sid].frames_processed} + lost "
+                f"{crash_lost(sessions[sid])} of {accepted[sid]} accepted"
+                for sid in sessions
+            )
+        )
+        if crashes != 1:
+            failures.append(f"mid-detach phase: expected 1 shard crash, counted {crashes}")
+        for sid, session in sessions.items():
+            lost = crash_lost(session)
+            if session.frames_processed + lost != accepted[sid]:
+                failures.append(
+                    f"{sid}: processed {session.frames_processed} + lost {lost} "
+                    f"!= accepted {accepted[sid]}"
+                )
+            if lost > _TICK_MAX:
+                failures.append(f"{sid}: lost {lost} > one tick ({_TICK_MAX})")
+        if sessions[staying].frames_processed <= backlog:
+            failures.append(f"{staying}: never processed a frame sent after the kill")
+        fleet.detach(staying)
     finally:
         fleet.stop()
         for session in sessions.values():
@@ -314,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=23)
     args = parser.parse_args(argv)
 
-    failures = run_crash_phase(args)
+    failures = run_crash_phase(args) or run_mid_detach_phase(args)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
